@@ -73,7 +73,6 @@ class CacheHierarchy:
         self,
         config: MachineConfig,
         shared_llc: "SetAssociativeCache" = None,
-        optimized: bool = True,
     ) -> None:
         self.config = config
         self.l1 = SetAssociativeCache(config.l1)
@@ -92,13 +91,6 @@ class CacheHierarchy:
         self._l2_latency = self.l2.config.latency_cycles
         self._llc_latency = self.llc.config.latency_cycles
         self._memory_latency = config.memory_latency_cycles
-        # Cached "data" StreamCounters; invalidated by reset_counters().
-        self._data_counters: StreamCounters = None
-        #: ``REPRO_NO_FASTPATH=1`` keeps the original layered probe-then-
-        #: fill traversal as the reference implementation: instance-level
-        #: rebinding, so the per-access mode check costs nothing.
-        if not optimized:
-            self.access_block = self._access_block_reference
 
     def counters(self, stream: str) -> StreamCounters:
         """Counters for ``stream`` (created on first use)."""
@@ -142,66 +134,6 @@ class CacheHierarchy:
         counters.served_by[outcome] += 1
         return latency
 
-    def _access_block_reference(self, block: int, stream: str = "data") -> int:
-        """The original layered traversal: probe downward with
-        :meth:`~repro.cache.set_assoc.SetAssociativeCache.access`, then
-        fill upward with :meth:`~repro.cache.set_assoc.SetAssociativeCache.fill`.
-
-        Kept verbatim as the ``REPRO_NO_FASTPATH=1`` reference
-        implementation: it reaches exactly the same end state and counters
-        as the folded path, which the speedup bench asserts byte-for-byte.
-        """
-        if self.l1.access(block):
-            outcome, latency = AccessOutcome.L1, self.l1.latency
-        elif self.l2.access(block):
-            outcome, latency = AccessOutcome.L2, self.l2.latency
-            self.l1.fill(block)
-        elif self.llc.access(block):
-            outcome, latency = AccessOutcome.LLC, self.llc.latency
-            self.l2.fill(block)
-            self.l1.fill(block)
-        else:
-            outcome = AccessOutcome.MEMORY
-            latency = self.config.memory_latency_cycles
-            self.llc.fill(block)
-            self.l2.fill(block)
-            self.l1.fill(block)
-            if _tp_miss.enabled:
-                _tp_miss.emit(block=block, stream=stream)
-        self.last_outcome = outcome
-        counters = self.counters(stream)
-        counters.accesses += 1
-        counters.cycles += latency
-        counters.served_by[outcome] += 1
-        return latency
-
-    def access_data(self, addr: int) -> int:
-        """Hot-path data access: ``access(addr, "data")`` with the
-        all-levels-hit-in-L1 case inlined.
-
-        The engine's translation fast path calls this for every TLB-hit
-        access; an L1 hit is one set probe, an LRU refresh and three
-        counter bumps -- byte-identical state transitions to the general
-        path, minus the per-level dispatch.
-        """
-        block = addr >> CACHE_BLOCK_SHIFT
-        l1 = self.l1
-        ways = l1._sets[block % l1.num_sets]
-        if block not in ways:
-            return self.access_block(block, "data")
-        del ways[block]
-        ways[block] = None  # move to MRU position
-        l1.hits += 1
-        self.last_outcome = AccessOutcome.L1
-        counters = self._data_counters
-        if counters is None:
-            counters = self._data_counters = self.counters("data")
-        latency = self._l1_latency
-        counters.accesses += 1
-        counters.cycles += latency
-        counters.served_by[AccessOutcome.L1] += 1
-        return latency
-
     def flush(self) -> None:
         """Empty all levels (e.g. between measurement phases)."""
         self.l1.flush()
@@ -211,7 +143,6 @@ class CacheHierarchy:
     def reset_counters(self) -> None:
         """Zero per-stream counters, keeping cache contents warm."""
         self.streams.clear()
-        self._data_counters = None
 
     def total_accesses(self) -> int:
         """Accesses across all streams."""

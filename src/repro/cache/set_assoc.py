@@ -14,7 +14,7 @@ instead of O(num_sets).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..config import CacheConfig
 from ..units import CACHE_BLOCK_SIZE
@@ -45,13 +45,6 @@ class SetAssociativeCache:
         #: Resident-block count, maintained at every insert/remove so
         #: :meth:`occupancy` never walks the sets.
         self._occupancy = 0
-        #: Flat membership mirror: exactly the union of all set keys,
-        #: maintained at every fill/evict/invalidate/flush. Lets the
-        #: batched engine test a whole address segment for residency
-        #: with one C-level ``issuperset`` instead of per-op set
-        #: probes. A block's set index is a pure function of the block,
-        #: so flat membership is equivalent to per-set membership.
-        self.members: Set[int] = set()
 
     @property
     def name(self) -> str:
@@ -97,12 +90,10 @@ class SetAssociativeCache:
         if len(ways) >= self.config.associativity:
             victim = next(iter(ways))
             del ways[victim]
-            self.members.remove(victim)
             self.evictions += 1
         else:
             self._occupancy += 1
         ways[block] = None
-        self.members.add(block)
         return False
 
     def fill(self, block: int) -> Optional[int]:
@@ -118,12 +109,10 @@ class SetAssociativeCache:
         elif len(ways) >= self.config.associativity:
             victim = next(iter(ways))
             del ways[victim]
-            self.members.remove(victim)
             self.evictions += 1
         else:
             self._occupancy += 1
         ways[block] = None
-        self.members.add(block)
         return victim
 
     def contains(self, block: int) -> bool:
@@ -135,7 +124,6 @@ class SetAssociativeCache:
         ways = self._set_for(block)
         if block in ways:
             del ways[block]
-            self.members.remove(block)
             self._occupancy -= 1
             return True
         return False
@@ -144,7 +132,6 @@ class SetAssociativeCache:
         """Empty the cache (counters preserved)."""
         for ways in self._sets:
             ways.clear()
-        self.members.clear()
         self._occupancy = 0
 
     def occupancy(self) -> int:

@@ -19,21 +19,18 @@ and the suppression pragma (``# simlint: disable=RULE``).
 
 from .core import (
     JSON_SCHEMA_VERSION,
-    RULE_ALIASES,
     RULES,
     UNITS_SCOPED_DIRS,
     Finding,
     LintContext,
     ProgramRule,
     Rule,
-    canonical_rule_name,
     collect_files,
     iter_rules,
     lint_file,
     lint_paths,
     lint_source,
     register,
-    register_alias,
 )
 from .effects import LATTICE_EFFECTS, EffectAnalysis, classify_call, widens
 from .flow import Space, compatible, space_of_name
@@ -46,7 +43,6 @@ __all__ = [
     "HotRoot",
     "LATTICE_EFFECTS",
     "JSON_SCHEMA_VERSION",
-    "RULE_ALIASES",
     "RULES",
     "Space",
     "compatible",
@@ -56,7 +52,6 @@ __all__ = [
     "LintContext",
     "ProgramRule",
     "Rule",
-    "canonical_rule_name",
     "classify_call",
     "collect_files",
     "hot_cone",
@@ -65,6 +60,5 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "register",
-    "register_alias",
     "widens",
 ]

@@ -15,13 +15,12 @@ import argparse
 import json
 import sys
 from collections import Counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..github import escape_data, escape_property, workflow_command
 from .core import (
     JSON_SCHEMA_VERSION,
-    RULE_ALIASES,
     ProgramRule,
     iter_rules,
     lint_paths,
@@ -115,20 +114,13 @@ def _read_baseline(path: str) -> Set[Tuple[str, str, str]]:
 
 
 def _list_rules() -> str:
-    """Every registered rule, sorted by name, with kind and aliases."""
-    aliases: Dict[str, List[str]] = {}
-    for alias, canonical in RULE_ALIASES.items():
-        aliases.setdefault(canonical, []).append(alias)
+    """Every registered rule, sorted by name, with its kind."""
     lines = []
     for rule in sorted(iter_rules(), key=lambda rule: rule.name):
         kind = "program" if isinstance(rule, ProgramRule) else "file"
-        line = (
+        lines.append(
             f"{rule.name:24} [{kind}/{rule.category}] {rule.description}"
         )
-        known = sorted(aliases.get(rule.name, ()))
-        if known:
-            line += f" (aliases: {', '.join(known)})"
-        lines.append(line)
     return "\n".join(lines)
 
 
@@ -198,7 +190,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--list-rules",
         action="store_true",
         help="print every registered rule (name, kind, category, "
-        "description, aliases), sorted by name, and exit",
+        "description), sorted by name, and exit",
     )
     args = parser.parse_args(argv)
 
@@ -213,7 +205,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.fail_on_new and not args.baseline:
         parser.error("--fail-on-new requires --baseline")
     disabled = {name.strip() for name in args.disable.split(",") if name.strip()}
-    known = {rule.name for rule in iter_rules()} | set(RULE_ALIASES)
+    known = {rule.name for rule in iter_rules()}
     unknown = disabled - known
     if unknown:
         parser.error(f"unknown rule(s) in --disable: {', '.join(sorted(unknown))}")

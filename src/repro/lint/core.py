@@ -177,38 +177,16 @@ class ProgramRule(Rule):
 #: Registry of every known rule, keyed by rule name, insertion-ordered.
 RULES: Dict[str, Rule] = {}
 
-#: Retired rule names still accepted in pragmas and ``--disable``,
-#: mapped to the rule that subsumed them.
-RULE_ALIASES: Dict[str, str] = {}
-
 
 def register(rule_cls):
     """Class decorator adding a rule (as a singleton) to the registry."""
     rule = rule_cls()
     if not rule.name:
         raise ValueError(f"rule {rule_cls.__name__} has no name")
-    if rule.name in RULES or rule.name in RULE_ALIASES:
+    if rule.name in RULES:
         raise ValueError(f"duplicate rule name {rule.name!r}")
     RULES[rule.name] = rule
     return rule_cls
-
-
-def register_alias(alias: str, canonical: str) -> None:
-    """Keep a retired rule id working as a synonym for ``canonical``.
-
-    Suppression pragmas and ``--disable`` entries naming the alias apply
-    to the canonical rule, so existing configurations keep working.
-    """
-    if alias in RULES or alias in RULE_ALIASES:
-        raise ValueError(f"duplicate rule name {alias!r}")
-    if canonical not in RULES:
-        raise ValueError(f"alias {alias!r} targets unknown rule {canonical!r}")
-    RULE_ALIASES[alias] = canonical
-
-
-def canonical_rule_name(name: str) -> str:
-    """Resolve a possibly-aliased rule name to its canonical id."""
-    return RULE_ALIASES.get(name, name)
 
 
 def iter_rules() -> Iterator[Rule]:
@@ -275,13 +253,9 @@ def _parse_pragmas(lines: Sequence[str]):
 
 
 def _suppressed(finding: Finding, file_disabled, line_disabled) -> bool:
-    file_disabled = {canonical_rule_name(name) for name in sorted(file_disabled)}
     if "all" in file_disabled or finding.rule in file_disabled:
         return True
-    on_line = {
-        canonical_rule_name(name)
-        for name in sorted(line_disabled.get(finding.line, ()))
-    }
+    on_line = line_disabled.get(finding.line, ())
     return "all" in on_line or finding.rule in on_line
 
 
@@ -393,7 +367,7 @@ def lint_source(
     :class:`~repro.obs.profile.ProfileNode`) enables profile-guided
     annotation and ranking, exactly as ``--profile`` does on the CLI.
     """
-    disabled = {canonical_rule_name(name) for name in sorted(disabled)}
+    disabled = set(disabled)
     findings, facts = _check_one_file(source, path, disabled)
     findings = findings + _program_findings([facts], disabled, profile=profile)
     return _finish(findings, profile)
@@ -440,7 +414,7 @@ def lint_paths(
     annotation, and ranks the final output by measured cycles -- both
     independent of ``jobs``, so byte-identity holds with a profile too.
     """
-    disabled = {canonical_rule_name(name) for name in sorted(disabled)}
+    disabled = set(disabled)
     files = [str(file_path) for file_path in collect_files(paths)]
     results = []
     if jobs <= 1 or len(files) <= 1:

@@ -1,9 +1,9 @@
 """Mirror-coherence contracts: "mutators of X must reach invalidator Y".
 
-The simulator keeps several pieces of mirrored state whose coherence is
-purely conventional: the per-core ``TranslationCache`` mirrors L1 TLB
-content, the ``FrameSanitizer`` shadow states mirror frame ownership,
-and every guest page-table mutation must fan out through
+The simulator keeps mirrored state whose coherence is purely
+conventional: the ``FrameSanitizer`` shadow states mirror frame
+ownership, and the TLBs and page-walk caches mirror guest page-table
+content, so every guest page-table mutation must fan out through
 ``GuestKernel._notify_unmap``. Each :class:`MirrorContract` states one
 such obligation declaratively; the ``mirror-coherence`` rule checks them
 over the whole-program call graph, so the obligation holds even when the
@@ -63,34 +63,19 @@ class MirrorContract:
     #: Receiver/argument tokens that exempt a site (host-side structures
     #: have no guest-visible mirror to maintain).
     exempt_tokens: FrozenSet[str] = frozenset()
-    #: When non-empty, concrete mutation sites are only checked in
-    #: modules with one of these dotted prefixes (parameter-mutation
-    #: propagation stays global). Used when the receiver guard alone is
-    #: ambiguous across subsystems (``l1`` names both TLB and cache).
-    module_prefixes: Tuple[str, ...] = ()
-
-    def applies_to_module(self, module: str) -> bool:
-        if not self.module_prefixes:
-            return True
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in self.module_prefixes
-        )
 
     def exempt(self, tokens: FrozenSet[str]) -> bool:
         return bool(tokens & self.exempt_tokens)
 
 
 #: Guest page-table mutations must fan out through the unmap
-#: notification (TLB + translation-cache shootdown + sanitizer). This
-#: contract subsumes the retired per-function ``fastpath-invalidation``
-#: rule: same mutators and hooks, but the pairing may now live anywhere
-#: on the call path instead of inside one function body.
+#: notification (TLB + guest PWC shootdown). The pairing may live
+#: anywhere on the call path, not only inside one function body.
 GUEST_PT = MirrorContract(
     name="guest-pt-shootdown",
     description=(
-        "guest page-table mutation must transitively reach a TLB/"
-        "translation-cache shootdown (_notify_unmap fan-out)"
+        "guest page-table mutation must transitively reach a TLB "
+        "shootdown (_notify_unmap fan-out)"
     ),
     mutators=CallPattern(
         methods=frozenset({"unmap", "unmap_huge", "update"}),
@@ -99,42 +84,11 @@ GUEST_PT = MirrorContract(
     invalidators=(
         CallPattern(
             methods=frozenset(
-                {
-                    "_notify_unmap",
-                    "_notify_unmap_many",
-                    "notify_unmap",
-                    "invalidate",
-                    "flush",
-                }
+                {"_notify_unmap", "notify_unmap", "invalidate", "flush"}
             )
         ),
     ),
     exempt_tokens=HOST_RECEIVER_TOKENS,
-)
-
-#: L1 TLB content is mirrored per-core by the TranslationCache fast
-#: path; every L1 mutation must maintain the mirror. Restricted to
-#: ``repro.tlb`` because the ``l1`` token also names the data-cache L1.
-TLB_MIRROR = MirrorContract(
-    name="tlb-xlate-mirror",
-    description=(
-        "L1 TLB mutation must transitively maintain the TranslationCache"
-        " mirror (_mirror_l1 / xlate invalidate/flush)"
-    ),
-    mutators=CallPattern(
-        methods=frozenset({"insert", "invalidate", "flush"}),
-        receiver_has=frozenset({"l1"}),
-    ),
-    invalidators=(
-        CallPattern(methods=frozenset({"_mirror_l1"})),
-        CallPattern(
-            methods=frozenset(
-                {"install", "invalidate", "invalidate_many", "flush"}
-            ),
-            receiver_has=frozenset({"xlate"}),
-        ),
-    ),
-    module_prefixes=("repro.tlb",),
 )
 
 #: Releasing frames from a reservation partition changes frame
@@ -154,4 +108,4 @@ FRAME_OWNERSHIP = MirrorContract(
     ),
 )
 
-CONTRACTS: Tuple[MirrorContract, ...] = (GUEST_PT, TLB_MIRROR, FRAME_OWNERSHIP)
+CONTRACTS: Tuple[MirrorContract, ...] = (GUEST_PT, FRAME_OWNERSHIP)

@@ -2,11 +2,10 @@
 
 The reproduction's performance story rests on a small set of *hot
 roots* -- the per-access code the engine executes millions of times per
-experiment (the fast-path op loop, the translation-mirror hooks, the
-TLB probe, the data-cache probe). One stray allocation or unguarded
-tracepoint inside that cone silently costs a double-digit percentage of
-wall clock without changing a single modelled number, so nothing else
-catches it until a bench regresses.
+experiment (the op loop, the TLB probe, the data-cache probe). One
+stray allocation or unguarded tracepoint inside that cone silently
+costs a double-digit percentage of wall clock without changing a single
+modelled number, so nothing else catches it until a bench regresses.
 
 :data:`HOT_ROOTS` declares those roots the same way
 :data:`repro.lint.ipa.contracts.CONTRACTS` declares mirror pairs: data,
@@ -82,38 +81,31 @@ HOT_ROOTS: Tuple[HotRoot, ...] = (
     HotRoot(
         name="engine-access-loop",
         module="repro.sim.engine",
-        qualnames=("WorkloadRun.step", "WorkloadRun._step_batched"),
+        qualnames=("WorkloadRun.step",),
         description=(
             "the per-slice op loop every modelled access funnels through"
         ),
-        # _execute/_access ARE the sanctioned fall-back out of the fast
-        # path; their bodies are slow-path by definition.
-        boundary=frozenset({"_execute", "_access"}),
+        # The cone is the per-access hit path (_execute, _access). These
+        # callees are the sanctioned slow paths: the TLB-miss walk, VMA
+        # lookup and its errors, munmap, mmap/brk, and page faults.
+        boundary=frozenset(
+            {
+                "_translate",
+                "_vpn_for",
+                "_free",
+                "mmap",
+                "brk",
+                "handle_fault",
+                "ensure_backed",
+            }
+        ),
         profile_prefixes=(("access",),),
-    ),
-    HotRoot(
-        name="translation-cache-probe",
-        module="repro.sim.fastpath",
-        qualnames=(
-            "TranslationCache.install",
-            "TranslationCache.invalidate",
-            "TranslationCache.invalidate_many",
-            "TranslationCache.flush",
-        ),
-        description=(
-            "the per-core translation-mirror maintenance hooks, called "
-            "on every L1 TLB mutation"
-        ),
-        profile_prefixes=(("access", "issue"),),
     ),
     HotRoot(
         name="tlb-hit-path",
         module="repro.tlb.tlb",
         qualnames=("TlbHierarchy.lookup", "Tlb.lookup"),
-        description=(
-            "the two-level TLB probe, incl. L1 promotion and mirror "
-            "maintenance"
-        ),
+        description="the two-level TLB probe, incl. L1 promotion",
         profile_prefixes=(("access", "issue"),),
     ),
     HotRoot(

@@ -13,8 +13,7 @@ mirrored object is concretely named:
 The enclosing function must then *transitively* reach one of the
 contract's invalidators. Mutations through a bare parameter are never
 flagged in the helper itself -- the obligation travels to the callers
-that bind something concrete, which is exactly what the retired
-per-function ``fastpath-invalidation`` rule could not see.
+that bind something concrete, which a per-function check cannot see.
 """
 
 from __future__ import annotations
@@ -32,10 +31,9 @@ class MirrorCoherenceRule(ProgramRule):
     name = "mirror-coherence"
     category = "correctness"
     description = (
-        "a mutation of mirrored state (guest page tables, the L1 TLB, "
-        "reservation partitions) must transitively reach the contract's "
-        "invalidator (shootdown, xlate mirror maintenance, sanitizer "
-        "hook), or the mirror silently goes stale"
+        "a mutation of mirrored state (guest page tables, reservation "
+        "partitions) must transitively reach the contract's invalidator "
+        "(shootdown, sanitizer hook), or the mirror silently goes stale"
     )
 
     def check_program(self, program, summaries) -> Iterator[Finding]:
@@ -61,7 +59,6 @@ class MirrorCoherenceRule(ProgramRule):
                 # Direct concrete mutation on a matching receiver chain.
                 if (
                     contract.mutators.matches(call)
-                    and contract.applies_to_module(mf.module)
                     and not contract.exempt(call.receiver_tokens)
                     and not self._is_bare_param_receiver(call, ff)
                 ):
@@ -80,8 +77,6 @@ class MirrorCoherenceRule(ProgramRule):
                     if not contract.mutators.matches_tokens(arg.tokens):
                         continue
                     if contract.exempt(arg.tokens):
-                        continue
-                    if not contract.applies_to_module(mf.module):
                         continue
                     for target in targets_by_index.get(index, ()):
                         if position in mutation_params.get(target, ()):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..config import GuestConfig, MachineConfig
 from ..core.allocator import PTEMagnetAllocator
@@ -67,12 +67,6 @@ class KernelStats:
 #: machine model can shoot down TLB/PWC entries: (pid, vpn) -> None.
 UnmapObserver = Callable[[int, int], None]
 
-#: Optional bulk form of the unmap callback: one call per shootdown
-#: *batch* -- (pid, vpns) -> None. Observers without one receive the
-#: batch as per-page calls; final state is identical either way because
-#: shootdowns are order-independent pure removals.
-BulkUnmapObserver = Callable[[int, Iterable[int]], None]
-
 
 class GuestKernel:
     """Memory-management kernel of the guest VM."""
@@ -96,9 +90,7 @@ class GuestKernel:
         self.processes: Dict[int, Process] = {}
         self._next_pid = 1
         self._refcount: Dict[int, int] = {}
-        self._unmap_observers: List[
-            Tuple[UnmapObserver, Optional[BulkUnmapObserver]]
-        ] = []
+        self._unmap_observers: List[UnmapObserver] = []
         self.policy = EnablementPolicy(config.ptemagnet_memory_limit_bytes)
         self.pcp: Optional[PerCpuPageCache] = (
             PerCpuPageCache(self.buddy, cpus=config.vcpus)
@@ -119,33 +111,13 @@ class GuestKernel:
     # Observers
     # ------------------------------------------------------------------ #
 
-    def add_unmap_observer(
-        self,
-        observer: UnmapObserver,
-        many: Optional[BulkUnmapObserver] = None,
-    ) -> None:
-        """Register a callback fired on every unmap/remap (TLB shootdown).
-
-        ``many``, when given, receives bulk shootdowns (e.g. a THP
-        split's whole range) as one ``(pid, vpns)`` call; observers
-        without it get the per-page fan-out for those too.
-        """
-        self._unmap_observers.append((observer, many))
+    def add_unmap_observer(self, observer: UnmapObserver) -> None:
+        """Register a callback fired on every unmap/remap (TLB shootdown)."""
+        self._unmap_observers.append(observer)
 
     def _notify_unmap(self, pid: int, vpn: int) -> None:
-        for observer, _many in self._unmap_observers:
+        for observer in self._unmap_observers:
             observer(pid, vpn)
-
-    def _notify_unmap_many(self, pid: int, vpns: Iterable[int]) -> None:
-        """Bulk TLB-shootdown fan-out: one dispatch per observer, not
-        per page. Equivalent to per-page :meth:`_notify_unmap` calls --
-        shootdowns are order-independent pure removals."""
-        for observer, many in self._unmap_observers:
-            if many is not None:
-                many(pid, vpns)
-            else:
-                for vpn in vpns:
-                    observer(pid, vpn)
 
     # ------------------------------------------------------------------ #
     # Process lifecycle
@@ -369,10 +341,7 @@ class GuestKernel:
                 base + offset, frame_base + offset, PteFlags.PRESENT
             )
             self._refcount[frame_base + offset] = 1
-        # One bulk shootdown for the whole demoted range: every page
-        # keeps its frame, so batching the notifications after the remap
-        # loop leaves identical TLB/mirror state as per-page delivery.
-        self._notify_unmap_many(process.pid, range(base, base + huge_pages))
+            self._notify_unmap(process.pid, base + offset)
         self.stats.thp_splits += 1
 
     def _allocate_for_fault(self, process: Process, vpn: int) -> FaultOutcome:

@@ -14,11 +14,8 @@ Figures 6/7 compare between kernels.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from ..cache.hierarchy import AccessOutcome
 from ..config import PlatformConfig
 from ..errors import SimulationError
 from ..metrics.counters import PerfCounters
@@ -41,80 +38,15 @@ from ..workloads.base import (
     FreeOp,
     MemoryOp,
     MmapOp,
-    OpChunk,
     PhaseOp,
     Workload,
     WorkloadPhase,
 )
-from .fastpath import batch_enabled
 from .machine import CoreContext, Machine
 from .results import RunResult, SimulationResult
 from .scheduler import RoundRobinScheduler
 
 _tp_sched_turn = tracepoint("sched.turn")
-
-#: Hoisted for the engine fast path's inlined L1-hit data access.
-_OUTCOME_L1 = AccessOutcome.L1
-
-#: Left-shift turning a host frame number into its first cache-block
-#: index: chunk blocks are canonical (0..63), so the batch loop computes
-#: ``(hfn << PAGE_SHIFT | block << CACHE_BLOCK_SHIFT) >> CACHE_BLOCK_SHIFT``
-#: as one shift-or.
-_BLOCK_SHIFT = PAGE_SHIFT - CACHE_BLOCK_SHIFT
-
-#: Minimum single-region segment length worth the vectorized all-hit
-#: probe: below this the numpy array construction overhead exceeds the
-#: per-op savings and the scalar loop wins.
-_VEC_MIN = 32
-
-
-class _ChunkOps:
-    """Per-op iterator view over a batched run's chunk stream.
-
-    When a run is batched, its interpreted paths (``REPRO_NO_FASTPATH``
-    is separate -- this covers profiled and fast-forwarded slices, which
-    dispatch to the reference loop) consume ops through this adapter
-    instead of ``workload.ops()``. It shares cursor state
-    (``run._chunk`` / ``run._cursor``) with ``_step_batched`` and
-    re-reads it on every ``__next__``, so flipping ``fast_forward`` or
-    enabling the profiler mid-run resumes the stream exactly where the
-    batch loop stopped -- no op is ever duplicated or skipped across
-    mode switches.
-    """
-
-    __slots__ = ("_run",)
-
-    def __init__(self, run: "WorkloadRun") -> None:
-        self._run = run
-
-    def __iter__(self) -> "_ChunkOps":
-        return self
-
-    def __next__(self) -> MemoryOp:
-        run = self._run
-        while True:
-            chunk = run._chunk
-            if chunk is None:
-                chunk = next(run._chunks)  # StopIteration ends the stream
-                run._chunk = chunk
-                run._cursor = 0
-            cursor = run._cursor
-            pages = chunk.pages
-            if cursor < len(pages):
-                run._cursor = cursor + 1
-                ridx = chunk.region_idx
-                writes = chunk.writes
-                return AccessOp(
-                    chunk.regions[
-                        ridx if ridx.__class__ is int else ridx[cursor]
-                    ],
-                    pages[cursor],
-                    chunk.blocks[cursor],
-                    writes if writes.__class__ is bool else writes[cursor],
-                )
-            run._chunk = None
-            if chunk.tail is not None:
-                return chunk.tail
 
 
 class WorkloadRun:
@@ -137,28 +69,6 @@ class WorkloadRun:
         self.weight = weight
         self.counters = PerfCounters()
         self.measuring = False
-        # Hot-path bindings for the translation fast path (see
-        # repro.sim.fastpath): the per-core mirror of L1 TLB content,
-        # the L1 TLB itself (its hit counter must advance exactly as the
-        # interpreted path would), and the fixed issue cost.
-        self._xlate = core.xlate
-        self._tlb_l1 = core.tlb.l1
-        self._base_cycles = core.config.base_cycles_per_access
-        # Data accesses go through the inlined hot-path entry when the
-        # fast path is on, and through the original layered entry under
-        # REPRO_NO_FASTPATH -- both reach identical state and counters.
-        # The L1 set array/geometry are bound here for the fully inlined
-        # L1-hit case; SetAssociativeCache mutates its sets in place and
-        # never rebinds them, so the aliases stay valid for the run.
-        self._hier = core.hierarchy
-        if core.xlate is not None:
-            self._data_access = core.hierarchy.access_data
-        else:
-            self._data_access = core.hierarchy.access
-        l1 = core.hierarchy.l1
-        self._dl1 = l1
-        self._dl1_sets = l1._sets
-        self._dl1_nsets = l1.num_sets
         #: When True, accesses skip the TLB/walk/cache models and only
         #: exercise the page-fault path. Used to fast-forward co-runner
         #: pre-churn, whose only observable effect is buddy-allocator
@@ -167,35 +77,7 @@ class WorkloadRun:
         self.current_phase: Optional[WorkloadPhase] = None
         self.ops_executed = 0
         self._regions: Dict[str, object] = {}
-        # Region memo shared by the fast paths: the VMA geometry of the
-        # most recently accessed region, compared by region-name object
-        # identity (streams intern their region literals). Instance-level
-        # so it survives slice boundaries and benign non-access ops
-        # (PhaseOp cannot change VMAs); _execute drops it on any op that
-        # can -- mmap, brk, free.
-        self._memo_region: Optional[str] = None
-        self._memo_start = 0
-        self._memo_npages = 0
-        if core.xlate is not None and batch_enabled():
-            # Batched engine core: the workload feeds packed chunks
-            # which _step_batched resolves against the mirror in bulk.
-            # The interpreted paths view the same stream through
-            # _ChunkOps, sharing the chunk cursor, so profiled or
-            # fast-forwarded slices never lose stream position.
-            self._chunks: Optional[Iterator[OpChunk]] = (
-                workload.ops_batched()
-            )
-            self._chunk: Optional[OpChunk] = None
-            self._cursor = 0
-            self._iterator: Iterator[MemoryOp] = _ChunkOps(self)
-        else:
-            # REPRO_NO_BATCH keeps the per-op fast path (and under
-            # REPRO_NO_FASTPATH the reference engine) consuming the
-            # workload's own per-op generator, verbatim.
-            self._chunks = None
-            self._chunk = None
-            self._cursor = 0
-            self._iterator = workload.ops()
+        self._iterator = workload.ops()
         #: Plain attribute rather than a property: the scheduler and the
         #: turn loops read it several times per turn, and a slice is only
         #: a couple of ops. Flipped by step() on stream exhaustion and by
@@ -217,575 +99,20 @@ class WorkloadRun:
         transitions are precise -- experiment harnesses change measurement
         and fidelity settings exactly at those points.
         """
-        if self.finished:
-            return 0
         executed = 0
         iterator = self._iterator
-        xc = self._xlate
-        if xc is None or PROFILER.enabled or self.fast_forward:
-            # Interpreted path, kept as the seed wrote it: under
-            # REPRO_NO_FASTPATH this loop (with _execute's isinstance
-            # dispatch) IS the reference engine the fast path is
-            # differentially validated against. Profiled runs take it so
-            # attribution sees the full chain; fast-forwarded pre-churn
-            # takes it because _access short-circuits there anyway.
-            while executed < max_ops and not self.finished:
-                try:
-                    op = next(iterator)
-                except StopIteration:
-                    self.finished = True
-                    break
-                self._execute(op)
-                executed += 1
-                if isinstance(op, PhaseOp):
-                    break
-            self.ops_executed += executed
-            return executed
-        if self._chunks is not None:
-            return self._step_batched(max_ops)
-        access = self._access
-        # Translation fast path (see repro.sim.fastpath): everything
-        # invariant across a slice is bound to locals up front, and the
-        # common TLB-hit/L1-hit access runs entirely inside this frame.
-        # Its state transitions are the byte-identical subset of the
-        # interpreted chain: L1 TLB LRU refresh + hit count, data-L1 LRU
-        # refresh + hit count, the unchanged latency charge, and the same
-        # counter bumps. Anything else -- unmapped region, mirror miss,
-        # write to a non-writable mapping, data-L1 miss -- falls through
-        # to the interpreted path, having spent only dict probes.
-        #
-        # Two batching tricks, both invisible outside the slice:
-        # - The region lookup is memoised on the region-name object (op
-        #   streams intern their region literals). The memo lives on the
-        #   instance so it survives slice boundaries and benign
-        #   non-access ops (PhaseOp); _execute drops it on any op that
-        #   can replace or grow a VMA -- mmap, brk, free.
-        # - Counter bumps for full fast hits are accumulated in a local
-        #   and flushed at slice exit. Every deferred quantity is a pure
-        #   increment no model code reads mid-slice (hit_rate and friends
-        #   are snapshot-time properties), every hit charges the same
-        #   constant cycles, and a PhaseOp ends the slice before harness
-        #   code can observe state -- so the flushed totals are
-        #   indistinguishable from per-op bumps.
-        # The hoists are safe because measurement state, fast_forward,
-        # and PROFILER can only change between turns.
-        regions_get = self._regions.get
-        tlb_l1 = self._tlb_l1
-        dl1 = self._dl1
-        dl1_sets = self._dl1_sets
-        dl1_nsets = self._dl1_nsets
-        hier = self._hier
-        base_cycles = self._base_cycles
-        l1_latency = hier._l1_latency
-        fast_cycles = base_cycles + l1_latency
-        measuring = self.measuring
-        mcounters = self.counters
-        tracer_active = TRACER.active
-        cached_region = self._memo_region
-        cached_start = self._memo_start
-        cached_npages = self._memo_npages
-        tlb_hits = 0  # fast ops whose translation hit the mirror
-        full_hits = 0  # fast ops that also hit the data L1
-        last_fast = False  # did the last access resolve fully fast?
-        while executed < max_ops:
+        while executed < max_ops and not self.finished:
             try:
                 op = next(iterator)
             except StopIteration:
                 self.finished = True
                 break
-            if op.__class__ is AccessOp:
-                executed += 1
-                region, page, block, write = op
-                if region is not cached_region:
-                    vma = regions_get(region)
-                    if vma is None:
-                        access(op)  # raises the unmapped-region error
-                        continue
-                    cached_region = region
-                    cached_start = vma.start_vpn
-                    cached_npages = vma.npages
-                if 0 <= page < cached_npages:
-                    vpn = cached_start + page
-                    entry = xc.get(vpn)
-                    if entry is not None and (entry[2] or not write):
-                        hfn, ways, _writable = entry
-                        del ways[vpn]
-                        ways[vpn] = hfn  # refresh L1 TLB LRU position
-                        tlb_hits += 1
-                        data_addr = (hfn << PAGE_SHIFT) | (
-                            (block & (BLOCKS_PER_PAGE - 1))
-                            << CACHE_BLOCK_SHIFT
-                        )
-                        cblock = data_addr >> CACHE_BLOCK_SHIFT
-                        cways = dl1_sets[cblock % dl1_nsets]
-                        if cblock in cways:
-                            del cways[cblock]
-                            cways[cblock] = None  # move to MRU position
-                            full_hits += 1
-                            last_fast = True
-                            if tracer_active:
-                                TRACER.advance(fast_cycles)
-                            continue
-                        # TLB fast hit but data-L1 miss: the layered walk
-                        # charges and attributes the deeper levels itself
-                        # (including last_outcome).
-                        last_fast = False
-                        cycles = base_cycles + hier.access_block(
-                            cblock, "data"
-                        )
-                        if tracer_active:
-                            TRACER.advance(cycles)
-                        if measuring:
-                            mcounters.accesses += 1
-                            mcounters.cycles += cycles
-                        continue
-                last_fast = False
-                access(op)
-                continue
-            # Sync the memo around the interpreted op: _execute clears
-            # the instance memo on VMA-changing ops (and leaves it for
-            # PhaseOp), so writing the locals back first and reloading
-            # after gives exactly that selectivity.
-            self._memo_region = cached_region
-            self._memo_start = cached_start
-            self._memo_npages = cached_npages
             self._execute(op)
             executed += 1
-            cached_region = self._memo_region
-            cached_start = self._memo_start
-            cached_npages = self._memo_npages
-            last_fast = False
             if isinstance(op, PhaseOp):
                 break
-        # Slice-exit flush of the deferred fast-hit increments.
-        if tlb_hits:
-            tlb_l1.hits += tlb_hits
-        if full_hits:
-            dl1.hits += full_hits
-            if last_fast:
-                hier.last_outcome = _OUTCOME_L1
-            dcounters = hier._data_counters
-            if dcounters is None:
-                # Resolved lazily so a slice with no data access creates
-                # no stream entry, exactly like the interpreted path.
-                dcounters = hier._data_counters = hier.counters("data")
-            dcounters.accesses += full_hits
-            dcounters.cycles += full_hits * l1_latency
-            dcounters.served_by[_OUTCOME_L1] += full_hits
-            if measuring:
-                mcounters.accesses += full_hits
-                mcounters.cycles += full_hits * fast_cycles
-        self._memo_region = cached_region
-        self._memo_start = cached_start
-        self._memo_npages = cached_npages
         self.ops_executed += executed
         return executed
-
-    def _step_batched(self, max_ops: int) -> int:
-        """Batched engine core: resolve whole chunk segments at once.
-
-        Consumes the workload's packed :class:`OpChunk` stream instead
-        of per-op objects. Each slice takes chunk *segments* -- a chunk
-        is split at slice boundaries via the shared cursor, so slice op
-        accounting and interleaving stay exactly op-precise -- and runs
-        one of two tight loops over the parallel arrays with zero
-        per-op function calls: the single-region/uniform-write loop
-        (the common case every native emitter compacts towards) or the
-        generic indexed loop. A full fast hit performs exactly the
-        interpreted chain's state transitions (L1 TLB LRU refresh,
-        data-L1 LRU refresh, the constant latency charge); everything
-        else is *miss residue* -- mirror miss, unmapped region,
-        write-to-RO, out-of-bounds page, data-L1 miss -- and replays
-        through the interpreted slow path *at its exact stream
-        position*, because residue ops change LRU state that later fast
-        classifications depend on. Counter increments for fast hits are
-        flushed once per slice and the tracer clock is advanced in bulk
-        immediately before any observation point, both per the PR-5
-        deferral contract, so snapshots stay byte-identical to the
-        reference engine.
-        """
-        executed = 0
-        xc = self._xlate
-        xget = xc.get
-        access = self._access
-        regions_get = self._regions.get
-        tlb_l1 = self._tlb_l1
-        dl1 = self._dl1
-        dl1_sets = self._dl1_sets
-        dl1_nsets = self._dl1_nsets
-        # The flat membership mirror is mutated in place (never rebound)
-        # by SetAssociativeCache, so the alias survives residue replays.
-        dl1_members = dl1.members
-        hier = self._hier
-        base_cycles = self._base_cycles
-        l1_latency = hier._l1_latency
-        fast_cycles = base_cycles + l1_latency
-        measuring = self.measuring
-        mcounters = self.counters
-        tracer_active = TRACER.active
-        chunks = self._chunks
-        chunk = self._chunk
-        cursor = self._cursor
-        memo_region = self._memo_region
-        memo_start = self._memo_start
-        memo_npages = self._memo_npages
-        full_hits = 0  # fast ops that hit the mirror and the data L1
-        slow_tlb_hits = 0  # mirror hits that missed the data L1
-        flushed_hits = 0  # full hits whose cycles reached the tracer
-        last_fast = False  # did the last access resolve fully fast?
-        while executed < max_ops:
-            if chunk is None:
-                try:
-                    chunk = next(chunks)
-                except StopIteration:
-                    self.finished = True
-                    break
-                cursor = 0
-            pages = chunk.pages
-            limit = len(pages)
-            if cursor >= limit:
-                tail = chunk.tail
-                chunk = None
-                if tail is None:
-                    continue
-                # Delimiting non-access op: advance the deferred clock
-                # past the fast hits that precede it, sync the region
-                # memo around the interpreted execution (see step), and
-                # honour the phase-boundary yield.
-                if tracer_active and full_hits > flushed_hits:
-                    TRACER.advance((full_hits - flushed_hits) * fast_cycles)
-                    flushed_hits = full_hits
-                self._memo_region = memo_region
-                self._memo_start = memo_start
-                self._memo_npages = memo_npages
-                self._execute(tail)
-                executed += 1
-                memo_region = self._memo_region
-                memo_start = self._memo_start
-                memo_npages = self._memo_npages
-                last_fast = False
-                if isinstance(tail, PhaseOp):
-                    break
-                continue
-            end = cursor + (max_ops - executed)
-            if end > limit:
-                end = limit
-            blocks = chunk.blocks
-            ridx = chunk.region_idx
-            writes = chunk.writes
-            if ridx.__class__ is int and writes.__class__ is bool:
-                # Single-region, uniform-write segment: region and
-                # permission checks hoist out of the loop entirely.
-                region = chunk.regions[ridx]
-                write = writes
-                readonly = not write
-                if region is not memo_region:
-                    vma = regions_get(region)
-                    if vma is None:
-                        # Raises the interpreted unmapped-region error.
-                        access(AccessOp(region, pages[cursor], blocks[cursor], write))  # simlint: disable=hotpath-alloc
-                    memo_region = region
-                    memo_start = vma.start_vpn
-                    memo_npages = vma.npages
-                start = memo_start
-                npages = memo_npages
-                pages_seg = pages[cursor:end]
-                blocks_seg = blocks[cursor:end]
-                if end - cursor >= _VEC_MIN:
-                    # Vectorized all-hit attempt: gather the segment's
-                    # host frames from the mirror's dense array in one
-                    # fancy index (the writable-only variant for store
-                    # segments folds the permission check into the
-                    # gather -- read-only entries read as absent), then
-                    # test whole-segment data-L1 residency with one
-                    # C-level issuperset against the flat membership
-                    # mirror. Any failed guard -- page out of region
-                    # bounds, vpn past the array, any absent frame, any
-                    # non-resident block -- falls through to the scalar
-                    # loops below, which locate and replay the residue
-                    # in stream order. Success means every op in the
-                    # segment is a full fast hit, so the only state
-                    # change is the bulk LRU flush.
-                    vpns_np = np.array(pages_seg, dtype=np.int64)  # simlint: disable=hotpath-alloc
-                    arr = xc.hfn6 if readonly else xc.hfn6_w
-                    mx = int(vpns_np.max())
-                    if (
-                        mx < npages
-                        and start + mx < arr.shape[0]
-                        and int(vpns_np.min()) >= 0
-                    ):
-                        vpns_np += start
-                        hfn6 = arr[vpns_np]  # simlint: disable=hotpath-alloc
-                        if int(hfn6.min()) >= 0:
-                            np.bitwise_or(
-                                hfn6,
-                                np.array(blocks_seg, dtype=np.int64),  # simlint: disable=hotpath-alloc
-                                out=hfn6,
-                            )
-                            cblocks = hfn6.tolist()  # simlint: disable=hotpath-alloc
-                            if dl1_members.issuperset(cblocks):
-                                full_hits += end - cursor
-                                last_fast = True
-                                self._flush_lru(vpns_np.tolist(), cblocks)  # simlint: disable=hotpath-alloc
-                                executed += end - cursor
-                                cursor = end
-                                continue
-                # Deferred-LRU run: during a run of consecutive full
-                # hits, no TLB-set or data-L1-set *membership* changes
-                # (every membership change goes through the slow path,
-                # which flushes first), so per-op MRU refreshes can be
-                # recorded as plain appends and applied in bulk -- move
-                # to MRU in last-occurrence order -- at the run's end
-                # (_flush_lru). The pending list's length doubles as the
-                # run's hit count, so the all-hit loop body is exactly
-                # probe + two C-level appends.
-                pend_vpns = []  # simlint: disable=hotpath-alloc
-                pendv = pend_vpns.append
-                pend_cblocks = []  # simlint: disable=hotpath-alloc
-                pendc = pend_cblocks.append
-                if (
-                    readonly
-                    and min(pages_seg) >= 0
-                    and max(pages_seg) < npages
-                ):
-                    # Hot variant: all pages in bounds (one C-level
-                    # min/max pass replaces per-op checks) and no
-                    # stores, so the permission test reduces to the
-                    # mirror probe itself.
-                    for page, block in zip(pages_seg, blocks_seg):
-                        vpn = start + page
-                        entry = xget(vpn)
-                        if entry is not None:
-                            cblock = (entry[0] << _BLOCK_SHIFT) | block
-                            if cblock in dl1_sets[cblock % dl1_nsets]:
-                                pendv(vpn)
-                                pendc(cblock)
-                                continue
-                            # Mirror hit, data-L1 miss: flush the
-                            # deferred run, refresh this op's own TLB
-                            # LRU position (it *is* a TLB hit), then
-                            # replay the deeper levels in stream order.
-                            full_hits += len(pend_vpns)
-                            if pend_vpns:
-                                self._flush_lru(pend_vpns, pend_cblocks)
-                                pend_vpns.clear()
-                                pend_cblocks.clear()
-                            ways = entry[1]
-                            del ways[vpn]
-                            ways[vpn] = entry[0]
-                            slow_tlb_hits += 1
-                            if tracer_active and full_hits > flushed_hits:
-                                TRACER.advance(
-                                    (full_hits - flushed_hits) * fast_cycles
-                                )
-                                flushed_hits = full_hits
-                            cycles = base_cycles + hier.access_block(
-                                cblock, "data"
-                            )
-                            if tracer_active:
-                                TRACER.advance(cycles)
-                            if measuring:
-                                mcounters.accesses += 1
-                                mcounters.cycles += cycles
-                            continue
-                        # Mirror miss: flush the deferred run, replay
-                        # the whole op through the slow path.
-                        full_hits += len(pend_vpns)
-                        if pend_vpns:
-                            self._flush_lru(pend_vpns, pend_cblocks)
-                            pend_vpns.clear()
-                            pend_cblocks.clear()
-                        if tracer_active and full_hits > flushed_hits:
-                            TRACER.advance(
-                                (full_hits - flushed_hits) * fast_cycles
-                            )
-                            flushed_hits = full_hits
-                        access(AccessOp(region, page, block, write))  # simlint: disable=hotpath-alloc
-                else:
-                    for page, block in zip(pages_seg, blocks_seg):
-                        if 0 <= page < npages:
-                            vpn = start + page
-                            entry = xget(vpn)
-                            if entry is not None and (
-                                readonly or entry[2]
-                            ):
-                                cblock = (entry[0] << _BLOCK_SHIFT) | block
-                                if cblock in dl1_sets[cblock % dl1_nsets]:
-                                    pendv(vpn)
-                                    pendc(cblock)
-                                    continue
-                                # Mirror hit, data-L1 miss: flush the
-                                # deferred run, refresh this op's own
-                                # TLB LRU position (it *is* a TLB
-                                # hit), then replay the deeper levels
-                                # in stream order.
-                                full_hits += len(pend_vpns)
-                                if pend_vpns:
-                                    self._flush_lru(
-                                        pend_vpns, pend_cblocks
-                                    )
-                                    pend_vpns.clear()
-                                    pend_cblocks.clear()
-                                ways = entry[1]
-                                del ways[vpn]
-                                ways[vpn] = entry[0]
-                                slow_tlb_hits += 1
-                                if (
-                                    tracer_active
-                                    and full_hits > flushed_hits
-                                ):
-                                    TRACER.advance(
-                                        (full_hits - flushed_hits)
-                                        * fast_cycles
-                                    )
-                                    flushed_hits = full_hits
-                                cycles = base_cycles + hier.access_block(
-                                    cblock, "data"
-                                )
-                                if tracer_active:
-                                    TRACER.advance(cycles)
-                                if measuring:
-                                    mcounters.accesses += 1
-                                    mcounters.cycles += cycles
-                                continue
-                        # Mirror miss / write-to-RO / out-of-bounds
-                        # page: flush the deferred run, replay the
-                        # whole op through the slow path.
-                        full_hits += len(pend_vpns)
-                        if pend_vpns:
-                            self._flush_lru(pend_vpns, pend_cblocks)
-                            pend_vpns.clear()
-                            pend_cblocks.clear()
-                        if tracer_active and full_hits > flushed_hits:
-                            TRACER.advance(
-                                (full_hits - flushed_hits) * fast_cycles
-                            )
-                            flushed_hits = full_hits
-                        access(AccessOp(region, page, block, write))  # simlint: disable=hotpath-alloc
-                # Segment end: the pending run is non-empty iff the
-                # segment's final op was a full hit (hits append, only
-                # residues clear), which is exactly last_fast.
-                last_fast = bool(pend_vpns)
-                if pend_vpns:
-                    full_hits += len(pend_vpns)
-                    self._flush_lru(pend_vpns, pend_cblocks)
-                executed += end - cursor
-                cursor = end
-                continue
-            # Generic segment: per-op region index and/or write flags.
-            regions_tab = chunk.regions
-            uniform_region = ridx.__class__ is int
-            uniform_write = writes.__class__ is bool
-            i = cursor
-            while i < end:
-                region = regions_tab[ridx if uniform_region else ridx[i]]
-                write = writes if uniform_write else writes[i]
-                page = pages[i]
-                if region is not memo_region:
-                    vma = regions_get(region)
-                    if vma is None:
-                        # Raises the interpreted unmapped-region error.
-                        access(AccessOp(region, page, blocks[i], write))  # simlint: disable=hotpath-alloc
-                    memo_region = region
-                    memo_start = vma.start_vpn
-                    memo_npages = vma.npages
-                if 0 <= page < memo_npages:
-                    vpn = memo_start + page
-                    entry = xget(vpn)
-                    if entry is not None and (entry[2] or not write):
-                        hfn = entry[0]
-                        ways = entry[1]
-                        del ways[vpn]
-                        ways[vpn] = hfn  # refresh L1 TLB LRU position
-                        cblock = (hfn << _BLOCK_SHIFT) | blocks[i]
-                        cways = dl1_sets[cblock % dl1_nsets]
-                        if cblock in cways:
-                            del cways[cblock]
-                            cways[cblock] = None  # move to MRU
-                            full_hits += 1
-                            last_fast = True
-                            i += 1
-                            continue
-                        slow_tlb_hits += 1
-                        last_fast = False
-                        if tracer_active and full_hits > flushed_hits:
-                            TRACER.advance(
-                                (full_hits - flushed_hits) * fast_cycles
-                            )
-                            flushed_hits = full_hits
-                        cycles = base_cycles + hier.access_block(
-                            cblock, "data"
-                        )
-                        if tracer_active:
-                            TRACER.advance(cycles)
-                        if measuring:
-                            mcounters.accesses += 1
-                            mcounters.cycles += cycles
-                        i += 1
-                        continue
-                last_fast = False
-                if tracer_active and full_hits > flushed_hits:
-                    TRACER.advance((full_hits - flushed_hits) * fast_cycles)
-                    flushed_hits = full_hits
-                access(AccessOp(region, page, blocks[i], write))  # simlint: disable=hotpath-alloc
-                i += 1
-            executed += end - cursor
-            cursor = end
-        # Slice-exit flush of the deferred fast-hit increments; same
-        # contract as the per-op fast path above.
-        tlb_hits = full_hits + slow_tlb_hits
-        if tlb_hits:
-            tlb_l1.hits += tlb_hits
-        if full_hits:
-            dl1.hits += full_hits
-            if last_fast:
-                hier.last_outcome = _OUTCOME_L1
-            dcounters = hier._data_counters
-            if dcounters is None:
-                # Resolved lazily so a slice with no data access creates
-                # no stream entry, exactly like the interpreted path.
-                dcounters = hier._data_counters = hier.counters("data")
-            dcounters.accesses += full_hits
-            dcounters.cycles += full_hits * l1_latency
-            dcounters.served_by[_OUTCOME_L1] += full_hits
-            if measuring:
-                mcounters.accesses += full_hits
-                mcounters.cycles += full_hits * fast_cycles
-        if tracer_active and full_hits > flushed_hits:
-            TRACER.advance((full_hits - flushed_hits) * fast_cycles)
-        self._chunk = chunk
-        self._cursor = cursor
-        self._memo_region = memo_region
-        self._memo_start = memo_start
-        self._memo_npages = memo_npages
-        self.ops_executed += executed
-        return executed
-
-    def _flush_lru(self, vpns, cblocks) -> None:
-        """Apply a deferred full-hit run's LRU refreshes in bulk.
-
-        During the run no set *membership* changed (any membership
-        change goes through the slow path, which flushes first), so
-        the inline per-op refreshes reduce to: move each touched key
-        to MRU, ordered by its *last* access in the run. The
-        ``dict.fromkeys(reversed(...))`` idiom computes exactly that
-        order at C speed (first occurrence in the reversed stream =
-        last occurrence in the original; iterating the result
-        reversed restores stream direction), and the final dict
-        states are byte-identical to per-op refreshing.
-        """
-        xget = self._xlate.get
-        for vpn in reversed(dict.fromkeys(reversed(vpns))):
-            entry = xget(vpn)
-            ways = entry[1]
-            del ways[vpn]
-            ways[vpn] = entry[0]
-        dl1_sets = self._dl1_sets
-        dl1_nsets = self._dl1_nsets
-        for cblock in reversed(dict.fromkeys(reversed(cblocks))):
-            cways = dl1_sets[cblock % dl1_nsets]
-            del cways[cblock]
-            cways[cblock] = None
 
     # ------------------------------------------------------------------ #
     # Measurement control
@@ -822,28 +149,23 @@ class WorkloadRun:
     # ------------------------------------------------------------------ #
 
     def _execute(self, op: MemoryOp) -> None:
-        # Mmap/brk/free can replace or grow a VMA, so they drop the
-        # fast paths' region memo; PhaseOp (and plain accesses) cannot,
-        # so the memo survives phase boundaries.
         if isinstance(op, AccessOp):
             self._access(op)
         elif isinstance(op, MmapOp):
-            self._memo_region = None
             self._regions[op.region] = self.kernel.mmap(
                 self.process, op.npages, op.region
             )
         elif isinstance(op, BrkOp):
-            self._memo_region = None
             self._regions[op.region] = self.kernel.brk(
                 self.process, op.grow_pages
             )
         elif isinstance(op, FreeOp):
-            self._memo_region = None
             self._free(op)
         elif isinstance(op, PhaseOp):
             self.current_phase = op.phase
         else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown op {op!r}")
+            # The error path ends the run; a valid stream never gets here.
+            raise SimulationError(f"unknown op {op!r}")  # simlint: disable=hotpath-alloc
 
     def _vpn_for(self, op: AccessOp) -> int:
         vma = self._regions.get(op.region)
@@ -859,21 +181,17 @@ class WorkloadRun:
         return vma.start_vpn + op.page
 
     def _access(self, op: AccessOp) -> None:
+        vpn = self._vpn_for(op)
         if self.fast_forward:
-            vpn = self._vpn_for(op)
             if not self.process.page_table.is_mapped(vpn):
                 outcome = self.kernel.handle_fault(self.process, vpn, op.write)
                 # Keep the host dimension consistent: the first real access
                 # would have EPT-faulted the frame in; do it eagerly here.
                 self.walker.host.ensure_backed(self.walker.vm, outcome.frame)
             return
-        # Interpreted path. The TLB-hit fast path lives in step(); this
-        # method serves mirror misses, profiled runs, and
-        # REPRO_NO_FASTPATH reference runs, and its state transitions are
-        # the contract the fast path replays.
-        vpn = self._vpn_for(op)
-        cycles = self._base_cycles
-        hfn = self.core.tlb.lookup(vpn)
+        core = self.core
+        cycles = core.config.base_cycles_per_access
+        hfn = core.tlb.lookup(vpn)
         if hfn is None:
             if self.measuring:
                 self.counters.tlb_misses += 1
@@ -882,19 +200,17 @@ class WorkloadRun:
         data_addr = (hfn << PAGE_SHIFT) | (
             (op.block & (BLOCKS_PER_PAGE - 1)) << CACHE_BLOCK_SHIFT
         )
-        data_latency = self._data_access(data_addr)
+        data_latency = core.hierarchy.access(data_addr)
         cycles += data_latency
         if PROFILER.enabled:
-            PROFILER.add(
-                (
-                    "access",
-                    "data",
-                    self.core.hierarchy.last_outcome.name.lower(),
-                ),
+            # Cycle attribution is the profiler's job: the guard keeps
+            # these module-state updates off unprofiled runs entirely.
+            PROFILER.add(  # simlint: disable=hotpath-effect
+                ("access", "data", core.hierarchy.last_outcome.name.lower()),
                 data_latency,
             )
-            PROFILER.add(
-                ("access", "issue"), self.core.config.base_cycles_per_access
+            PROFILER.add(  # simlint: disable=hotpath-effect
+                ("access", "issue"), core.config.base_cycles_per_access
             )
         if TRACER.active:
             TRACER.advance(cycles)
@@ -961,7 +277,7 @@ class Simulation:
         self._runs_by_pid: Dict[int, WorkloadRun] = {}
         self.turns = 0
         self._samplers: List[PeriodicSampler] = []
-        self.kernel.add_unmap_observer(self._on_unmap, self._on_unmap_many)
+        self.kernel.add_unmap_observer(self._on_unmap)
         if TRACER.sample_interval_cycles:
             self.add_sampler(
                 standard_sampler(self, TRACER.sample_interval_cycles)
@@ -998,16 +314,6 @@ class Simulation:
         run = self._runs_by_pid.get(pid)
         if run is not None:
             run.core.invalidate_translation(vpn)
-
-    def _on_unmap_many(self, pid: int, vpns) -> None:
-        """Bulk shootdown: one run lookup per range instead of per page.
-
-        Order-independent pure removals, so the final TLB/mirror state
-        is identical to per-page :meth:`_on_unmap` delivery.
-        """
-        run = self._runs_by_pid.get(pid)
-        if run is not None:
-            run.core.invalidate_translations(vpns)
 
     def add_sampler(self, sampler: PeriodicSampler) -> PeriodicSampler:
         """Register a :class:`~repro.obs.sampler.PeriodicSampler` to be

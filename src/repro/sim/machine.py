@@ -16,7 +16,6 @@ from ..cache.pwc import PageWalkCache
 from ..cache.set_assoc import SetAssociativeCache
 from ..config import MachineConfig
 from ..tlb.tlb import TlbHierarchy
-from .fastpath import TranslationCache, fastpath_enabled
 
 
 class CoreContext:
@@ -24,39 +23,15 @@ class CoreContext:
 
     def __init__(self, config: MachineConfig, shared_llc: SetAssociativeCache) -> None:
         self.config = config
-        #: Hot-path translation cache mirroring L1 TLB content (see
-        #: :mod:`repro.sim.fastpath`); ``None`` under REPRO_NO_FASTPATH.
-        self.xlate = TranslationCache() if fastpath_enabled() else None
-        # REPRO_NO_FASTPATH also pins the hierarchy to its original
-        # probe-then-fill traversal, making the env var a complete switch
-        # back to the reference interpretation of every access.
-        self.hierarchy = CacheHierarchy(
-            config, shared_llc=shared_llc, optimized=self.xlate is not None
-        )
-        self.tlb = TlbHierarchy(config.dtlb, config.stlb, xlate=self.xlate)
+        self.hierarchy = CacheHierarchy(config, shared_llc=shared_llc)
+        self.tlb = TlbHierarchy(config.dtlb, config.stlb)
         self.guest_pwc = PageWalkCache(config.pwc.entries_per_level)
         self.host_pwc = PageWalkCache(config.pwc.entries_per_level)
 
     def invalidate_translation(self, vpn: int) -> None:
-        """Shoot down one guest virtual page (TLB + guest PWC).
-
-        ``tlb.invalidate`` also drops the page from the hot-path
-        translation cache, so every shootdown reaching the machine model
-        (PTE unmap/remap, COW break, reclaim) invalidates the fast path.
-        """
+        """Shoot down one guest virtual page (TLB + guest PWC)."""
         self.tlb.invalidate(vpn)
         self.guest_pwc.invalidate_vpn(vpn)
-
-    def invalidate_translations(self, vpns) -> None:
-        """Bulk shootdown of a page range (e.g. a THP split's 512 pages).
-
-        Same effect as per-page :meth:`invalidate_translation` calls --
-        one TLB/mirror entry per call chain instead of per page.
-        """
-        self.tlb.invalidate_many(vpns)
-        invalidate_vpn = self.guest_pwc.invalidate_vpn
-        for vpn in vpns:
-            invalidate_vpn(vpn)
 
     def flush_translations(self) -> None:
         """Full shootdown (guest PT replaced wholesale)."""

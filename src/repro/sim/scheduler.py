@@ -7,12 +7,8 @@ every live run executes ``weight * ops_per_slice`` memory operations.
 Interleaving granularity is what drives fragmentation -- page faults of
 different applications arrive interleaved at the guest buddy allocator.
 
-Slice accounting is op-precise regardless of how a run consumes its
-stream: the batched engine resolves packed chunk *segments* per slice
-(``min(chunk remainder, slice remainder)`` at a time, resuming
-mid-chunk next turn), so a slice never over- or under-runs its op
-budget and scheduling order is identical to per-op execution. Phase
-boundaries likewise end a slice early in every engine mode, keeping
+A slice executes ops one at a time, so it never over- or under-runs
+its op budget. Phase boundaries end a slice early, keeping
 phase-triggered co-runner start/stop points turn-exact.
 """
 

@@ -4,13 +4,6 @@ TLB entries map a virtual page number directly to the final physical frame
 (for a virtualized process: guest VPN -> *host* frame, since hardware TLBs
 cache the complete nested translation). A TLB hit therefore bypasses the
 entire 2D page walk; only misses reach the walker, as in §2.5.
-
-The L1 level optionally mirrors its content into a per-core
-:class:`~repro.sim.fastpath.TranslationCache` (the engine's hot-path
-translation cache). Every L1 mutation site in this module -- insert,
-promotion from L2, LRU eviction, invalidate, flush -- keeps the mirror
-exact, which is the invariant the fast path's byte-identical-counters
-guarantee rests on.
 """
 
 from __future__ import annotations
@@ -56,8 +49,8 @@ class Tlb:
         """Install ``vpn -> frame``; returns the evicted VPN if any.
 
         Only the victim's VPN is reported (not a ``(vpn, frame)`` pair):
-        every consumer needs just the page to invalidate, and this
-        method sits on the TLB hit path, which must not allocate.
+        this method sits on the TLB hit path (L2-to-L1 promotion), which
+        must not allocate.
         """
         entries = self._sets[vpn % self.num_sets]
         victim = None
@@ -97,36 +90,11 @@ class TlbHierarchy:
     ----------
     dtlb / stlb:
         Geometry of the two levels.
-    xlate:
-        Optional :class:`~repro.sim.fastpath.TranslationCache` to keep in
-        lockstep with L1 content. ``None`` (the default, and the
-        ``REPRO_NO_FASTPATH=1`` mode) skips all mirror maintenance.
     """
 
-    def __init__(
-        self,
-        dtlb: TlbConfig,
-        stlb: TlbConfig,
-        xlate=None,
-    ) -> None:
+    def __init__(self, dtlb: TlbConfig, stlb: TlbConfig) -> None:
         self.l1 = Tlb(dtlb)
         self.l2 = Tlb(stlb)
-        #: The engine's hot-path translation cache mirroring L1 content
-        #: (``None`` when the fast path is disabled).
-        self.xlate = xlate
-
-    def _mirror_l1(
-        self, vpn: int, frame: int, victim: Optional[int]
-    ) -> None:
-        """Reflect an L1 install (and its eviction) into the mirror."""
-        xc = self.xlate
-        if xc is None:
-            return
-        if victim is not None:
-            xc.invalidate(victim)
-        xc.install(
-            vpn, frame, self.l1._sets[vpn % self.l1.num_sets], True
-        )
 
     def lookup(self, vpn: int) -> Optional[int]:
         """Return the frame for ``vpn`` or ``None`` if both levels miss."""
@@ -135,45 +103,25 @@ class TlbHierarchy:
             return frame
         frame = self.l2.lookup(vpn)
         if frame is not None:
-            victim = self.l1.insert(vpn, frame)
-            self._mirror_l1(vpn, frame, victim)
+            self.l1.insert(vpn, frame)
         elif _tp_miss.enabled:
             _tp_miss.emit(vpn=vpn)
         return frame
 
     def insert(self, vpn: int, frame: int) -> None:
         """Install a completed translation into both levels."""
-        victim = self.l1.insert(vpn, frame)
+        self.l1.insert(vpn, frame)
         self.l2.insert(vpn, frame)
-        self._mirror_l1(vpn, frame, victim)
 
     def invalidate(self, vpn: int) -> None:
         """Shoot down one page's translation from both levels."""
         self.l1.invalidate(vpn)
         self.l2.invalidate(vpn)
-        if self.xlate is not None:
-            self.xlate.invalidate(vpn)
-
-    def invalidate_many(self, vpns) -> None:
-        """Shoot down a batch of pages (bulk flavour of invalidate).
-
-        Per-page removal from both levels, then one bulk mirror call;
-        removals commute, so state matches per-page invalidates.
-        """
-        l1 = self.l1
-        l2 = self.l2
-        for vpn in vpns:
-            l1.invalidate(vpn)
-            l2.invalidate(vpn)
-        if self.xlate is not None:
-            self.xlate.invalidate_many(vpns)
 
     def flush(self) -> None:
         """Drop everything from both levels."""
         self.l1.flush()
         self.l2.flush()
-        if self.xlate is not None:
-            self.xlate.flush()
 
     @property
     def misses(self) -> int:

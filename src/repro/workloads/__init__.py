@@ -9,20 +9,13 @@ preserves the paper's effects.
 """
 
 from .base import (
-    CHUNK_SIZE,
     AccessOp,
     BrkOp,
     FreeOp,
     MmapOp,
-    OpChunk,
     PhaseOp,
     Workload,
     WorkloadPhase,
-    chunk_ops,
-    chunks_from_arrays,
-    expand_chunks,
-    pack_chunk,
-    tail_chunk,
 )
 from .scripted import ScriptedWorkload
 from .trace import TraceWorkload, load_trace, save_trace
@@ -49,13 +42,6 @@ __all__ = [
     "AccessOp",
     "BENCHMARKS",
     "BrkOp",
-    "CHUNK_SIZE",
-    "OpChunk",
-    "chunk_ops",
-    "chunks_from_arrays",
-    "expand_chunks",
-    "pack_chunk",
-    "tail_chunk",
     "ScriptedWorkload",
     "TraceWorkload",
     "load_trace",

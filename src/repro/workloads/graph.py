@@ -13,23 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .base import (
-    AccessOp,
-    MemoryOp,
-    MmapOp,
-    OpChunk,
-    PhaseOp,
-    Workload,
-    WorkloadPhase,
-    chunks_from_arrays,
-    tail_chunk,
-)
-from .synth import (
-    local_runs,
-    sequential_touch,
-    sequential_touch_chunks,
-    zipf_page_sequence,
-)
+from .base import AccessOp, MemoryOp, MmapOp, PhaseOp, Workload, WorkloadPhase
+from .synth import local_runs, sequential_touch, zipf_page_sequence
 
 
 class GraphWorkload(Workload):
@@ -124,65 +109,6 @@ class GraphWorkload(Workload):
                     pick_idx += 1
             yield from vertex_ops[pick_idx:]
         yield PhaseOp(WorkloadPhase.DONE)
-
-    def ops_batched(self) -> Iterator[OpChunk]:
-        # Native packer for the ops() stream: identical RNG draw order
-        # (all draws happen in zipf_page_sequence/local_runs before the
-        # deterministic interleave), but the dominant edge scan is packed
-        # straight into arrays instead of one AccessOp per access.
-        rng = self.rng()
-        yield tail_chunk(MmapOp("vertices", self.vertex_pages))
-        yield tail_chunk(MmapOp("edges", self.edge_pages))
-        yield tail_chunk(PhaseOp(WorkloadPhase.INIT))
-        yield from sequential_touch_chunks("vertices", self.vertex_pages)
-        yield from sequential_touch_chunks("edges", self.edge_pages)
-        yield tail_chunk(PhaseOp(WorkloadPhase.COMPUTE))
-        regions = ("edges", "vertices")
-        edge_cursor = 0
-        for _ in range(self.iterations):
-            num_runs = max(1, self.vertex_accesses // self.locality_run)
-            bases = zipf_page_sequence(
-                rng, self.vertex_pages, num_runs, self.alpha
-            )
-            vertex_ops = list(
-                local_runs(
-                    "vertices",
-                    iter(bases),
-                    self.vertex_pages,
-                    self.locality_run,
-                    rng,
-                    write_every=3,
-                )
-            )
-            ridx = []
-            pages = []
-            blocks = []
-            writes = []
-            pick_idx = 0
-            interleave_every = max(
-                1, self.edge_accesses // max(1, len(vertex_ops))
-            )
-            for i in range(self.edge_accesses):
-                ridx.append(0)
-                pages.append(edge_cursor)
-                blocks.append(i % 64)
-                writes.append(False)
-                if i % 16 == 0:
-                    edge_cursor = (edge_cursor + 1) % self.edge_pages
-                if i % interleave_every == 0 and pick_idx < len(vertex_ops):
-                    op = vertex_ops[pick_idx]
-                    ridx.append(1)
-                    pages.append(op.page)
-                    blocks.append(op.block)
-                    writes.append(op.write)
-                    pick_idx += 1
-            for op in vertex_ops[pick_idx:]:
-                ridx.append(1)
-                pages.append(op.page)
-                blocks.append(op.block)
-                writes.append(op.write)
-            yield from chunks_from_arrays(regions, ridx, pages, blocks, writes)
-        yield tail_chunk(PhaseOp(WorkloadPhase.DONE))
 
 
 class PageRank(GraphWorkload):

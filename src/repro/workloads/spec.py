@@ -14,26 +14,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .base import (
-    AccessOp,
-    MemoryOp,
-    MmapOp,
-    OpChunk,
-    PhaseOp,
-    Workload,
-    WorkloadPhase,
-    chunk_ops,
-    chunks_from_arrays,
-    tail_chunk,
-)
+from .base import AccessOp, MemoryOp, MmapOp, PhaseOp, Workload, WorkloadPhase
 from .synth import (
     local_runs,
-    local_runs_chunks,
     random_pages,
     sequential_touch,
-    sequential_touch_chunks,
     windowed_stream,
-    windowed_stream_chunks,
     zipf_page_sequence,
 )
 
@@ -59,29 +45,9 @@ class SpecWorkload(Workload):
         yield from self.compute_ops()
         yield PhaseOp(WorkloadPhase.DONE)
 
-    def ops_batched(self) -> Iterator[OpChunk]:
-        # Same op stream as ops(), natively packed: the non-access ops
-        # become tail-only chunks (slice/phase delimiters), the sweeps
-        # come out of the chunked generators directly.
-        yield tail_chunk(MmapOp("data", self._footprint))
-        yield tail_chunk(PhaseOp(WorkloadPhase.INIT))
-        yield from sequential_touch_chunks("data", self._footprint)
-        yield tail_chunk(PhaseOp(WorkloadPhase.COMPUTE))
-        yield from self.compute_chunks()
-        yield tail_chunk(PhaseOp(WorkloadPhase.DONE))
-
     def compute_ops(self) -> Iterator[MemoryOp]:
         """Benchmark-specific compute-phase accesses."""
         raise NotImplementedError
-
-    def compute_chunks(self) -> Iterator[OpChunk]:
-        """Chunked compute phase; default re-chunks :meth:`compute_ops`.
-
-        Subclasses with array-friendly streams override this with a
-        native packer. Both flavours must expand to the identical op
-        stream (the workload determinism contract).
-        """
-        return chunk_ops(self.compute_ops())
 
 
 class Mcf(SpecWorkload):
@@ -97,13 +63,6 @@ class Mcf(SpecWorkload):
         rng = self.rng()
         bases = random_pages(rng, self._footprint, self.accesses // 2)
         yield from local_runs(
-            "data", iter(bases), self._footprint, 2, rng, write_every=5
-        )
-
-    def compute_chunks(self) -> Iterator[OpChunk]:
-        rng = self.rng()
-        bases = random_pages(rng, self._footprint, self.accesses // 2)
-        return local_runs_chunks(
             "data", iter(bases), self._footprint, 2, rng, write_every=5
         )
 
@@ -130,17 +89,6 @@ class Xz(SpecWorkload):
             run_pages=8,
         )
 
-    def compute_chunks(self) -> Iterator[OpChunk]:
-        rng = self.rng()
-        return windowed_stream_chunks(
-            "data",
-            self._footprint,
-            window_pages=4800,
-            accesses=self.accesses,
-            rng=rng,
-            run_pages=8,
-        )
-
 
 class Gcc(SpecWorkload):
     """602.gcc: compiler; medium footprint, skewed IR traversal."""
@@ -157,15 +105,6 @@ class Gcc(SpecWorkload):
             rng, self._footprint, self.accesses // 6, alpha=1.1
         )
         yield from local_runs("data", iter(bases), self._footprint, 6, rng)
-
-    def compute_chunks(self) -> Iterator[OpChunk]:
-        rng = self.rng()
-        bases = zipf_page_sequence(
-            rng, self._footprint, self.accesses // 6, alpha=1.1
-        )
-        return local_runs_chunks(
-            "data", iter(bases), self._footprint, 6, rng
-        )
 
 
 class Omnetpp(SpecWorkload):
@@ -187,27 +126,14 @@ class Omnetpp(SpecWorkload):
             "data", iter(bases), self._footprint, 3, rng, write_every=3
         )
 
-    def compute_chunks(self) -> Iterator[OpChunk]:
-        rng = self.rng()
-        bases = zipf_page_sequence(
-            rng, self._footprint, self.accesses // 3, alpha=0.95
-        )
-        return local_runs_chunks(
-            "data", iter(bases), self._footprint, 3, rng, write_every=3
-        )
-
 
 class LowPressureSpec(SpecWorkload):
     """Stand-in for low-TLB-pressure SPECint programs (leela, x264, ...).
 
     Small footprint (fits comfortably in TLB reach) and strong locality:
     the control group for the paper's "PTEMagnet never hurts" claim.
-
-    ``footprint`` and ``hot_blocks`` tune how hard the working set presses
-    on the TLB and the data caches; the defaults reproduce the figure6
-    streams byte-for-byte. ``hot_blocks < 64`` confines accesses to that
-    many blocks per page, the TLB-hit/L1-hit regime the perf-smoke
-    speedup bench measures.
+    ``footprint`` tunes how hard the working set presses on the TLB; the
+    default reproduces the figure6 streams byte-for-byte.
     """
 
     def __init__(
@@ -216,86 +142,22 @@ class LowPressureSpec(SpecWorkload):
         seed: int = 0,
         accesses: int = 16000,
         footprint: int = 220,
-        hot_blocks: int = 64,
     ) -> None:
         super().__init__(name, footprint=footprint, seed=seed)
         self.accesses = accesses
-        if not 1 <= hot_blocks <= 64 or hot_blocks & (hot_blocks - 1):
-            raise ValueError("hot_blocks must be a power of two in [1, 64]")
-        self.hot_blocks = hot_blocks
 
     def compute_ops(self) -> Iterator[MemoryOp]:
         rng = self.rng()
         pages = zipf_page_sequence(
             rng, self._footprint, self.accesses, alpha=1.3
         )
+        # Draw the block index with getrandbits rejection sampling -- the
+        # same draws randrange(64) makes (7 bits, retry on >= 64), minus
+        # two call layers per op. The stream is part of the workload's
+        # determinism contract, so the expansion is spelled out here.
         getrandbits = rng.getrandbits
-        if self.hot_blocks == 64:
-            # Draw the block index with getrandbits rejection sampling --
-            # the same draws randrange(64) makes (7 bits, retry on >= 64),
-            # minus two call layers per op. The stream is part of the
-            # workload's determinism contract, so the expansion is spelled
-            # out here.
-            for page in pages:
-                block = getrandbits(7)
-                while block >= 64:
-                    block = getrandbits(7)
-                yield AccessOp("data", page, block)
-            return
-        # Each page gets hot_blocks candidate blocks strided across the
-        # page and rotated by the page index -- without the rotation every
-        # page's hot blocks would land in the same few cache sets (there
-        # are exactly as many blocks per page as L1 sets), turning a
-        # small working set into pure conflict misses. The candidate ops
-        # are immutable tuples, so they are materialised once per
-        # (page, draw) and the stream is served by table lookups.
-        bits = self.hot_blocks.bit_length() - 1
-        stride_shift = 6 - bits
-        if bits == 0:
-            table = [
-                AccessOp("data", page, page & 63)
-                for page in range(self._footprint)
-            ]
-            yield from map(table.__getitem__, pages)
-            return
-        table = [
-            [
-                AccessOp("data", page, (page + (draw << stride_shift)) & 63)
-                for draw in range(self.hot_blocks)
-            ]
-            for page in range(self._footprint)
-        ]
         for page in pages:
-            yield table[page][getrandbits(bits)]
-
-    def compute_chunks(self) -> Iterator[OpChunk]:
-        # Mirrors compute_ops draw-for-draw: the RNG sequence (zipf page
-        # picks, then one block draw per access) is identical, only the
-        # packaging differs (parallel arrays instead of AccessOps).
-        rng = self.rng()
-        pages = zipf_page_sequence(
-            rng, self._footprint, self.accesses, alpha=1.3
-        )
-        getrandbits = rng.getrandbits
-        if self.hot_blocks == 64:
-            blocks = []
-            for _ in pages:
+            block = getrandbits(7)
+            while block >= 64:
                 block = getrandbits(7)
-                while block >= 64:
-                    block = getrandbits(7)
-                blocks.append(block)
-        else:
-            bits = self.hot_blocks.bit_length() - 1
-            stride_shift = 6 - bits
-            if bits == 0:
-                blocks = [page & 63 for page in pages]
-            else:
-                table = [
-                    [
-                        (page + (draw << stride_shift)) & 63
-                        for draw in range(self.hot_blocks)
-                    ]
-                    for page in range(self._footprint)
-                ]
-                blocks = [table[page][getrandbits(bits)] for page in pages]
-        return chunks_from_arrays(("data",), 0, pages, blocks, False)
+            yield AccessOp("data", page, block)

@@ -13,7 +13,7 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .base import CHUNK_SIZE, AccessOp, OpChunk, chunks_from_arrays
+from .base import AccessOp
 
 
 def sequential_touch(
@@ -28,24 +28,6 @@ def sequential_touch(
     for page in range(npages):
         for block in range(0, blocks_per_page * step, step):
             yield AccessOp(region, page, block % 64, write)
-
-
-def sequential_touch_chunks(
-    region: str,
-    npages: int,
-    blocks_per_page: int = 1,
-    write: bool = True,
-    chunk_size: int = CHUNK_SIZE,
-) -> Iterator[OpChunk]:
-    """Chunked flavour of :func:`sequential_touch` (same stream)."""
-    step = max(1, 64 // max(1, blocks_per_page))
-    pages: List[int] = []
-    blocks: List[int] = []
-    for page in range(npages):
-        for block in range(0, blocks_per_page * step, step):
-            pages.append(page)
-            blocks.append(block % 64)
-    return chunks_from_arrays((region,), 0, pages, blocks, write, chunk_size)
 
 
 def strided_touch(
@@ -124,38 +106,6 @@ def windowed_stream(
         window_start = (window_start + 1) % npages
 
 
-def windowed_stream_chunks(
-    region: str,
-    npages: int,
-    window_pages: int,
-    accesses: int,
-    rng: random.Random,
-    run_pages: int = 1,
-    chunk_size: int = CHUNK_SIZE,
-) -> Iterator[OpChunk]:
-    """Chunked flavour of :func:`windowed_stream`.
-
-    Identical RNG draw order and page/block stream; the accesses are
-    packed into parallel arrays instead of per-op objects.
-    """
-    if window_pages <= 0 or run_pages <= 0:
-        raise ValueError("window_pages and run_pages must be positive")
-    window_start = 0
-    emitted = 0
-    pages: List[int] = []
-    blocks: List[int] = []
-    while emitted < accesses:
-        offset = rng.randrange(min(window_pages, npages))
-        base = (window_start + offset) % npages
-        block = rng.randrange(64)
-        for delta in range(min(run_pages, accesses - emitted)):
-            pages.append((base + delta) % npages)
-            blocks.append((block + delta) % 64)
-            emitted += 1
-        window_start = (window_start + 1) % npages
-    return chunks_from_arrays((region,), 0, pages, blocks, False, chunk_size)
-
-
 def local_runs(
     region: str,
     bases: Iterator[int],
@@ -187,45 +137,6 @@ def local_runs(
             while block >= 64:
                 block = getrandbits(7)
             yield AccessOp(region, page, block, write)
-
-
-def local_runs_chunks(
-    region: str,
-    bases: Iterator[int],
-    npages: int,
-    run_pages: int,
-    rng: random.Random,
-    write_every: int = 0,
-    chunk_size: int = CHUNK_SIZE,
-) -> Iterator[OpChunk]:
-    """Chunked flavour of :func:`local_runs` (same RNG draw order)."""
-    if run_pages <= 0:
-        raise ValueError("run_pages must be positive")
-    pages: List[int] = []
-    blocks: List[int] = []
-    writes: List[bool] = []
-    count = 0
-    last = npages - 1
-    getrandbits = rng.getrandbits
-    for base in bases:
-        for delta in range(run_pages):
-            page = base + delta
-            pages.append(page if page < last else last)
-            count += 1
-            if write_every:
-                writes.append(count % write_every == 0)
-            block = getrandbits(7)
-            while block >= 64:
-                block = getrandbits(7)
-            blocks.append(block)
-    return chunks_from_arrays(
-        (region,),
-        0,
-        pages,
-        blocks,
-        writes if write_every else False,
-        chunk_size,
-    )
 
 
 def interleave(*streams: Sequence[Iterator[AccessOp]]) -> Iterator[AccessOp]:

@@ -14,28 +14,27 @@ JSON-lines interchange format and a workload that replays it:
 `save_trace` writes any op iterable in this format (useful for freezing
 one of the bundled statistical workloads into a shareable artifact), and
 `TraceWorkload` streams a file back into the simulator without
-materialising it.
+materialising it. A malformed line -- invalid JSON, a non-object, an
+unknown op, a missing or ill-typed field -- raises
+:class:`~repro.errors.WorkloadError` naming ``<path>:<line>``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, Union
 
 from ..errors import WorkloadError
 from .base import (
-    CHUNK_SIZE,
     AccessOp,
     BrkOp,
     FreeOp,
     MemoryOp,
     MmapOp,
-    OpChunk,
     PhaseOp,
     Workload,
     WorkloadPhase,
-    pack_chunk,
 )
 
 
@@ -66,27 +65,38 @@ def op_to_record(op: MemoryOp) -> dict:
 
 
 def record_to_op(record: dict) -> MemoryOp:
-    """Deserialize one JSON record to its op."""
+    """Deserialize one JSON record to its op.
+
+    Raises :class:`WorkloadError` for a record that is not an object,
+    names an unknown op, or lacks or mistypes a field.
+    """
+    if not isinstance(record, dict):
+        raise WorkloadError(f"trace record is not an object: {record!r}")
     kind = record.get("op")
-    if kind == "mmap":
-        return MmapOp(record["region"], int(record["npages"]))
-    if kind == "brk":
-        return BrkOp(record["region"], int(record["grow_pages"]))
-    if kind == "access":
-        return AccessOp(
-            record["region"],
-            int(record["page"]),
-            int(record.get("block", 0)),
-            bool(record.get("write", False)),
-        )
-    if kind == "free":
-        return FreeOp(
-            record["region"],
-            int(record.get("start_page", 0)),
-            int(record.get("npages", 0)),
-        )
-    if kind == "phase":
-        return PhaseOp(WorkloadPhase(record["phase"]))
+    try:
+        if kind == "mmap":
+            return MmapOp(record["region"], int(record["npages"]))
+        if kind == "brk":
+            return BrkOp(record["region"], int(record["grow_pages"]))
+        if kind == "access":
+            return AccessOp(
+                record["region"],
+                int(record["page"]),
+                int(record.get("block", 0)),
+                bool(record.get("write", False)),
+            )
+        if kind == "free":
+            return FreeOp(
+                record["region"],
+                int(record.get("start_page", 0)),
+                int(record.get("npages", 0)),
+            )
+        if kind == "phase":
+            return PhaseOp(WorkloadPhase(record["phase"]))
+    except KeyError as exc:
+        raise WorkloadError(f"{kind} record missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise WorkloadError(f"invalid {kind} record {record!r} ({exc})") from exc
     raise WorkloadError(f"unknown trace record {record!r}")
 
 
@@ -113,7 +123,11 @@ def load_trace(path: Union[str, Path]) -> Iterator[MemoryOp]:
                 raise WorkloadError(
                     f"{path}:{line_number}: invalid JSON ({exc})"
                 ) from exc
-            yield record_to_op(record)
+            try:
+                op = record_to_op(record)
+            except WorkloadError as exc:
+                raise WorkloadError(f"{path}:{line_number}: {exc}") from exc
+            yield op
 
 
 class TraceWorkload(Workload):
@@ -150,52 +164,3 @@ class TraceWorkload(Workload):
 
     def ops(self) -> Iterator[MemoryOp]:
         return load_trace(self.path)
-
-    def ops_batched(self) -> Iterator[OpChunk]:
-        # Native packer: access records go straight from parsed JSON into
-        # the chunk arrays, skipping the per-record AccessOp that ops()
-        # constructs. Parse errors surface identically to load_trace.
-        regions: List[str] = []
-        intern_index: Dict[str, int] = {}
-        ridx: List[int] = []
-        pages: List[int] = []
-        blocks: List[int] = []
-        writes: List[bool] = []
-        with open(self.path) as handle:
-            for line_number, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise WorkloadError(
-                        f"{self.path}:{line_number}: invalid JSON ({exc})"
-                    ) from exc
-                if record.get("op") == "access":
-                    region = record["region"]
-                    idx = intern_index.get(region)
-                    if idx is None:
-                        idx = intern_index[region] = len(regions)
-                        regions.append(region)
-                    ridx.append(idx)
-                    pages.append(int(record["page"]))
-                    blocks.append(int(record.get("block", 0)) & 63)
-                    writes.append(bool(record.get("write", False)))
-                    if len(pages) >= CHUNK_SIZE:
-                        yield pack_chunk(
-                            tuple(regions), ridx, pages, blocks, writes
-                        )
-                        ridx, pages, blocks, writes = [], [], [], []
-                    continue
-                yield pack_chunk(
-                    tuple(regions),
-                    ridx,
-                    pages,
-                    blocks,
-                    writes,
-                    record_to_op(record),
-                )
-                ridx, pages, blocks, writes = [], [], [], []
-        if pages:
-            yield pack_chunk(tuple(regions), ridx, pages, blocks, writes)

@@ -223,13 +223,13 @@ ENGINE_FIXTURE = (
     "class WorkloadRun:\n"
     "    def step(self, ops):\n"
     "        for op in ops:\n"
-    "            self._fast(op)\n"
     "            self._execute(op)\n"
-    "\n"
-    "    def _fast(self, op):\n"
-    "        return op\n"
+    "            self._translate(op)\n"
     "\n"
     "    def _execute(self, op):\n"
+    "        return op\n"
+    "\n"
+    "    def _translate(self, op):\n"
     "        return [op]\n"
 )
 
@@ -238,12 +238,12 @@ def test_hot_cone_follows_calls_and_stops_at_boundary():
     program = program_of({"repro/sim/engine.py": ENGINE_FIXTURE})
     cone = hot_cone(program)
     step = function_id("repro.sim.engine", "WorkloadRun.step")
-    fast = function_id("repro.sim.engine", "WorkloadRun._fast")
     execute = function_id("repro.sim.engine", "WorkloadRun._execute")
+    translate = function_id("repro.sim.engine", "WorkloadRun._translate")
     assert cone[step].name == "engine-access-loop"
-    assert cone[fast].name == "engine-access-loop"
-    # _execute is a declared boundary: the sanctioned slow path.
-    assert execute not in cone
+    assert cone[execute].name == "engine-access-loop"
+    # _translate is a declared boundary: the sanctioned TLB-miss path.
+    assert translate not in cone
 
 
 def test_hot_roots_registry_shape():
@@ -526,7 +526,7 @@ def test_committed_baseline_is_empty_and_current():
 # --list-rules
 # --------------------------------------------------------------------- #
 
-def test_cli_list_rules_sorted_with_kind_and_aliases(capsys):
+def test_cli_list_rules_sorted_with_kind(capsys):
     assert lint_main(["--list-rules"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     names = [line.split()[0] for line in lines]
@@ -534,7 +534,6 @@ def test_cli_list_rules_sorted_with_kind_and_aliases(capsys):
     for line in lines:
         assert "[file/" in line or "[program/" in line
     by_name = dict(zip(names, lines))
-    assert "aliases: fastpath-invalidation" in by_name["mirror-coherence"]
     assert "[program/hotpath]" in by_name["hotpath-alloc"]
 
 

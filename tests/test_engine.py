@@ -1,11 +1,21 @@
 """Integration tests for the simulation engine."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import PlatformConfig, Simulation, SimulationError
 from repro.config import GuestConfig, HostConfig
+from repro.metrics.collect import snapshot_simulation
 from repro.units import MB
-from repro.workloads import PageRank, StressNg, WorkloadPhase
+from repro.workloads import (
+    LowPressureSpec,
+    PageRank,
+    ScriptedWorkload,
+    StressNg,
+    WorkloadPhase,
+)
 from repro.workloads.base import (
     AccessOp,
     FreeOp,
@@ -212,3 +222,113 @@ class TestColocationEffects:
             return sim.result_for(run).counters.cycles
 
         assert run_once() == run_once()
+
+
+# --------------------------------------------------------------------- #
+# Output pin: canonical snapshots of three small scenarios
+# --------------------------------------------------------------------- #
+
+
+def _digest(doc):
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _colocated_snapshot():
+    """StressNg churn beside a 64-page leela: walks, L1 DTLB evictions,
+    L2 promotions and TLB-hit/L1-hit accesses in one run."""
+    sim = Simulation(small_platform())
+    churn = sim.add_workload(StressNg(seed=1))
+    bench = sim.add_workload(
+        LowPressureSpec("leela", 0, accesses=4000, footprint=64)
+    )
+    bench.start_measurement()
+    sim.run_until_finished(bench)
+    sim.stop(churn)
+    result = sim.result_for(bench)
+    return snapshot_simulation("bench", sim, result).to_dict()
+
+
+def _run_script(script, ops_per_slice=7):
+    """Run ``script`` alone; returns (snapshot dict, ops_executed per turn)."""
+    sim = Simulation(small_platform())
+    sim.scheduler.ops_per_slice = ops_per_slice
+    run = sim.add_workload(ScriptedWorkload("scripted", script))
+    run.start_measurement()
+    per_turn = []
+    while not run.finished:
+        sim.turn()
+        per_turn.append(run.ops_executed)
+    result = sim.result_for(run)
+    return snapshot_simulation("bench", sim, result).to_dict(), per_turn
+
+
+def _tlb_pressure_snapshot():
+    """48 pages x 6 rounds: the footprint exceeds the 32-entry L1 DTLB,
+    so TLB hits that miss the data L1 interleave with evictions."""
+    script = [MmapOp("a", 48)]
+    for r in range(6):
+        script.extend(
+            AccessOp("a", page, block=(page * 7 + r * 13) % 64)
+            for page in range(48)
+        )
+    script.append(PhaseOp(WorkloadPhase.DONE))
+    return _run_script(script)[0]
+
+
+def _mixed_write_snapshot():
+    """700 mixed loads and stores in 5-op slices."""
+    script = [
+        MmapOp("a", 8),
+        *(
+            AccessOp("a", page % 8, block=page % 64, write=bool(page % 3))
+            for page in range(700)
+        ),
+        PhaseOp(WorkloadPhase.DONE),
+    ]
+    doc, per_turn = _run_script(script, ops_per_slice=5)
+    assert per_turn[-1] == len(script)
+    return doc
+
+
+#: sha256 of each scenario's canonical snapshot JSON. Any change to
+#: modelled behaviour -- TLB, walker, caches, faults, counters -- moves
+#: at least one of these.
+PINNED_DIGESTS = {
+    "colocated": (
+        "f8c7b9f41068a98b0bd5fc1c7ae5d2c6ba45a95d1ee5a0480aa2d44a017eae49"
+    ),
+    "tlb-pressure": (
+        "af4ed43c982f86612267be0250cd077617a1553caa41011c18f3e0ef133aacc8"
+    ),
+    "mixed-write": (
+        "d84167360542f8ae5ae3010e494c3c92fa92e7b4a9562ec025d782c63391082c"
+    ),
+}
+
+SCENARIOS = {
+    "colocated": _colocated_snapshot,
+    "tlb-pressure": _tlb_pressure_snapshot,
+    "mixed-write": _mixed_write_snapshot,
+}
+
+
+class TestOutputPin:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_snapshot_digest_pinned(self, scenario):
+        assert _digest(SCENARIOS[scenario]()) == PINNED_DIGESTS[scenario]
+
+    def test_phase_boundary_ends_slice_early(self):
+        # A phase op mid-stream ends that slice, so phase-triggered
+        # co-runner start/stop stays turn-exact: the first slice is
+        # mmap + 5 accesses + the phase op, not the 16-op budget.
+        script = [
+            MmapOp("a", 8),
+            *(AccessOp("a", page % 8, block=0) for page in range(5)),
+            PhaseOp(WorkloadPhase.COMPUTE),
+            *(AccessOp("a", page % 8, block=0) for page in range(20)),
+            PhaseOp(WorkloadPhase.DONE),
+        ]
+        per_turn = _run_script(script, ops_per_slice=16)[1]
+        assert per_turn[0] == 7

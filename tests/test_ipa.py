@@ -4,9 +4,9 @@ Covers: call-graph construction edge cases (method resolution through
 bases, decorated functions, lambdas and closures, dynamic-dispatch
 fallback-to-unknown, registry dicts), summary fixed-point convergence on
 a recursive cycle, one end-to-end fixture per program-rule family
-(positive finding + clean counterpart), the ``fastpath-invalidation``
-alias, ``--jobs`` output equality, and the zero-findings enforcement for
-the new rules over the real ``src/`` tree.
+(positive finding + clean counterpart), ``--jobs`` output equality, and
+the zero-findings enforcement for the new rules over the real ``src/``
+tree.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    RULE_ALIASES,
-    RULES,
-    lint_paths,
-    lint_source,
-)
+from repro.lint import lint_paths, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.ipa import Program, Summaries, extract_facts
 from repro.lint.ipa.callgraph import function_id
@@ -240,14 +235,14 @@ def test_param_demand_propagates_through_forwarding():
 
 
 # ---------------------------------------------------------------------- #
-# mirror-coherence: the interprocedural demo the old rule missed
+# mirror-coherence: the interprocedural demo a per-function rule misses
 # ---------------------------------------------------------------------- #
 
 #: A guest-PT mutation delegated to a helper that takes the table as an
-#: opaque parameter. The retired per-function ``fastpath-invalidation``
-#: rule keyed on the receiver being *named* ``page_table``, so the
-#: helper was invisible to it -- and the caller contains no mutator call
-#: at all. Only the call-graph view connects the two.
+#: opaque parameter. A per-function check keyed on the receiver being
+#: *named* ``page_table`` cannot see the helper -- and the caller
+#: contains no mutator call at all. Only the call-graph view connects
+#: the two.
 DELEGATED_MUTATION = (
     "class Kernel:\n"
     "    def _drop(self, pt, vpn):\n"
@@ -267,7 +262,7 @@ def test_interprocedural_demo_flagged_at_the_binding_site():
 
 
 def test_interprocedural_demo_helper_alone_passes_per_function_view():
-    # The helper in isolation is what the old rule saw -- and it is
+    # The helper in isolation is what a per-function rule sees -- and it is
     # clean: mutating a bare parameter defers the obligation to callers.
     helper_only = (
         "class Kernel:\n"
@@ -428,7 +423,7 @@ def test_spawn_safety_clean_for_returns_and_safe_singletons():
 
 
 # ---------------------------------------------------------------------- #
-# fastpath-invalidation alias
+# --jobs: parallel per-file phase, identical output
 # ---------------------------------------------------------------------- #
 
 UNPAIRED = (
@@ -437,41 +432,6 @@ UNPAIRED = (
     "    return frame\n"
 )
 
-
-def test_alias_registered_and_not_a_rule():
-    assert RULE_ALIASES["fastpath-invalidation"] == "mirror-coherence"
-    assert "fastpath-invalidation" not in RULES
-
-
-def test_alias_pragma_still_suppresses():
-    src = (
-        "def do_free(process, vpn):\n"
-        "    return process.page_table.unmap(vpn)  "
-        "# simlint: disable=fastpath-invalidation (legacy pragma)\n"
-    )
-    assert rules_hit(src) == []
-    assert rules_hit(UNPAIRED) == ["mirror-coherence"]
-
-
-def test_alias_disable_still_works():
-    assert (
-        lint_source(UNPAIRED, disabled=["fastpath-invalidation"]) == []
-    )
-
-
-def test_alias_accepted_by_cli_disable(tmp_path, capsys):
-    target = tmp_path / "snippet.py"
-    target.write_text(UNPAIRED, encoding="utf-8")
-    assert (
-        lint_main([str(target), "--disable", "fastpath-invalidation"]) == 0
-    )
-    assert lint_main([str(target)]) == 1
-    capsys.readouterr()
-
-
-# ---------------------------------------------------------------------- #
-# --jobs: parallel per-file phase, identical output
-# ---------------------------------------------------------------------- #
 
 def test_jobs_output_matches_serial(tmp_path):
     (tmp_path / "a.py").write_text(UNPAIRED, encoding="utf-8")

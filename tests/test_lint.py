@@ -17,7 +17,6 @@ import pytest
 
 from repro.lint import (
     JSON_SCHEMA_VERSION,
-    RULE_ALIASES,
     RULES,
     iter_rules,
     lint_paths,
@@ -67,9 +66,6 @@ def test_registry_has_expected_rules():
         "spawn-safety",
     } <= names
     assert set(RULES) == names
-    # The retired per-function rule survives only as an alias.
-    assert "fastpath-invalidation" not in names
-    assert RULE_ALIASES["fastpath-invalidation"] == "mirror-coherence"
 
 
 # ---------------------------------------------------------------------- #
@@ -489,6 +485,10 @@ def test_cli_rejects_unknown_disable(tmp_path):
     bad.write_text(BAD_SNIPPET)
     with pytest.raises(SystemExit):
         lint_main([str(bad), "--disable", "no-such-rule"])
+    # The retired fastpath-invalidation id is no longer accepted either.
+    with pytest.raises(SystemExit) as excinfo:
+        lint_main([str(bad), "--disable", "fastpath-invalidation"])
+    assert excinfo.value.code == 2
 
 
 def test_cli_list_rules(capsys):
@@ -613,8 +613,8 @@ def test_metrics_naming_allows_dotted_extra_keys_and_test_code():
 
 
 # ---------------------------------------------------------------------- #
-# correctness: mirror-coherence (ex fastpath-invalidation; see test_ipa
-# for the interprocedural cases the old rule could not see)
+# correctness: mirror-coherence (see test_ipa for the interprocedural
+# cases a per-function check cannot see)
 # ---------------------------------------------------------------------- #
 
 def test_mirror_coherence_flags_unpaired_mutation():

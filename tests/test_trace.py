@@ -61,6 +61,37 @@ class TestFileRoundtrip:
             list(load_trace(path))
 
 
+#: One malformed record per failure kind, each on line 2 after a valid
+#: mmap, paired with a fragment of the expected message.
+MALFORMED = {
+    "missing-region": ('{"op": "access", "page": 0}', "'region'"),
+    "bad-int": ('{"op": "mmap", "region": "a", "npages": "eight"}', "eight"),
+    "unknown-phase": ('{"op": "phase", "phase": "teardown"}', "teardown"),
+    "non-object": ("[1, 2]", "not an object"),
+    "unknown-op": ('{"op": "teleport"}', "unknown trace record"),
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_error_names_path_and_line(self, tmp_path, kind):
+        line, fragment = MALFORMED[kind]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"op": "mmap", "region": "a", "npages": 4}\n' + line + "\n"
+        )
+        # Replay and the footprint pre-scan share one parser.
+        for load in (
+            lambda: list(TraceWorkload(path, footprint_pages=4).ops()),
+            lambda: TraceWorkload(path),
+        ):
+            with pytest.raises(WorkloadError) as excinfo:
+                load()
+            message = str(excinfo.value)
+            assert message.startswith(f"{path}:2: ")
+            assert fragment in message
+
+
 class TestTraceWorkload:
     def test_missing_file(self, tmp_path):
         with pytest.raises(WorkloadError):
