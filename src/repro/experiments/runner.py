@@ -34,8 +34,8 @@ to the parent, which merges them deterministically (submission-order,
 modelled-cycle interleave) -- the merged trace/flamegraph/metrics files
 are byte-identical at any job count. ``--manifest PATH`` additionally
 logs a structured JSONL run manifest (cell submit/start/finish/crash,
-capsule accounting, merge provenance) and ``--progress`` tails worker
-heartbeats as live per-cell status lines on stderr.
+capsule accounting, merge provenance) and ``--watch`` renders worker
+heartbeats as a live per-cell board on stderr.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from ..obs.remote import (
     capsule_nbytes,
     capsule_snapshots,
     merge_capsules,
-    render_progress_event,
 )
 from ..obs.sinks import JsonlSink
 from ..obs.watch import WatchBoard, snapshot_rollup, write_frame
@@ -332,27 +331,24 @@ EXPERIMENTS: Dict[str, ExperimentFn] = {
 
 
 class _RunLifecycle:
-    """Routes lifecycle events to the manifest, ``--progress``, ``--watch``.
+    """Routes lifecycle events to the manifest and the ``--watch`` board.
 
-    Progress lines print as events arrive (live, completion order); the
-    manifest instead buffers worker heartbeats and flushes each cell's
+    The manifest buffers worker heartbeats and flushes each cell's
     ``start``/``finish`` rows when the parent consumes that cell's
     result -- submission order -- so manifest row order is identical at
     any job count (``repro.parallel`` guarantees a cell's ``finish``
     heartbeat is relayed before its result is yielded). The ``--watch``
-    board is fed from the same live events and rendered to stderr after
-    each one; it never touches the run's outputs.
+    board is fed from the live events (completion order) and rendered to
+    stderr after each one; it never touches the run's outputs.
     """
 
     def __init__(
         self,
         manifest: "RunManifest | None",
-        progress: bool,
         board: "WatchBoard | None" = None,
         watch_stream=None,
     ) -> None:
         self.manifest = manifest
-        self.progress = progress
         self.board = board
         self.watch_stream = watch_stream
         isatty = getattr(watch_stream, "isatty", None)
@@ -389,10 +385,6 @@ class _RunLifecycle:
                 seed=key[1],
                 error=event.get("error"),
             )
-        if self.progress:
-            line = render_progress_event(event)
-            if line:
-                print(line, file=sys.stderr, flush=True)
         if kind != "finish":
             # The finish heartbeat lacks the perf roll-up; the board
             # gets the enriched row from consumed() instead.
@@ -538,12 +530,6 @@ def main(argv=None) -> int:
         "provenance)",
     )
     parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print live per-cell status lines (worker heartbeats) to "
-        "stderr",
-    )
-    parser.add_argument(
         "--watch",
         action="store_true",
         help="render a live per-cell board (cells queued/running/"
@@ -640,12 +626,10 @@ def main(argv=None) -> int:
         )
     manifest = RunManifest(args.manifest) if args.manifest else None
     board = WatchBoard() if args.watch else None
-    lifecycle = _RunLifecycle(
-        manifest, args.progress, board=board, watch_stream=sys.stderr
-    )
+    lifecycle = _RunLifecycle(manifest, board=board, watch_stream=sys.stderr)
     on_event = (
         lifecycle.handle
-        if (manifest is not None or args.progress or board is not None)
+        if (manifest is not None or board is not None)
         else None
     )
     if board is not None:
@@ -713,8 +697,7 @@ def main(argv=None) -> int:
     if merged is not None and merged.profile is not None:
         # Embed the merged attribution tree into the experiment's own
         # snapshots so --metrics-out files and --store records carry it
-        # (and downstream consumers -- obs diff rankings, the lint
-        # pass's --profile ranking -- can load it from either).
+        # (and obs diff's profile ranking can load it from either).
         for label in sorted(snapshots):
             if snapshots[label].profile is None:
                 snapshots[label].profile = merged.profile

@@ -32,16 +32,10 @@ from .core import (
     lint_source,
     register,
 )
-from .effects import LATTICE_EFFECTS, EffectAnalysis, classify_call, widens
 from .flow import Space, compatible, space_of_name
 from . import rules  # noqa: F401  (imported for rule registration)
-from .rules.hotpath import HOT_ROOTS, HotRoot, hot_cone
 
 __all__ = [
-    "EffectAnalysis",
-    "HOT_ROOTS",
-    "HotRoot",
-    "LATTICE_EFFECTS",
     "JSON_SCHEMA_VERSION",
     "RULES",
     "Space",
@@ -52,13 +46,10 @@ __all__ = [
     "LintContext",
     "ProgramRule",
     "Rule",
-    "classify_call",
     "collect_files",
-    "hot_cone",
     "iter_rules",
     "lint_file",
     "lint_paths",
     "lint_source",
     "register",
-    "widens",
 ]

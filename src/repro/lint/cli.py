@@ -1,12 +1,6 @@
 """Command-line interface of the ``simlint`` static-analysis pass.
 
 Exit status: 0 when no findings, 1 when findings exist, 2 on usage error.
-
-``--profile`` turns a run profile-guided: findings are ranked (and
-annotated) by the measured cycles under their hot root, so "fix this
-first" falls out of the ordering. ``--baseline``/``--fail-on-new`` form
-the findings ratchet: record today's accepted findings once, then gate
-CI only on *new* ones.
 """
 
 from __future__ import annotations
@@ -15,9 +9,8 @@ import argparse
 import json
 import sys
 from collections import Counter
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional
 
-from ..errors import ReproError
 from ..github import escape_data, escape_property, workflow_command
 from .core import (
     JSON_SCHEMA_VERSION,
@@ -25,9 +18,6 @@ from .core import (
     iter_rules,
     lint_paths,
 )
-
-#: Schema version of the ``--baseline`` ratchet file.
-BASELINE_VERSION = 1
 
 #: Kept under the historical private names: external tooling (and the
 #: test suite) imports the escaping helpers from here; the shared
@@ -76,43 +66,6 @@ def _render_github(findings) -> str:
     return "\n".join(lines)
 
 
-def _baseline_key(finding) -> Tuple[str, str, str]:
-    """The ratchet identity of a finding: stable across reordering.
-
-    Line/column are deliberately excluded so unrelated edits above a
-    baselined finding do not un-baseline it; the message pins it well
-    enough (and never embeds profile numbers).
-    """
-    return (finding.path, finding.rule, finding.message)
-
-
-def _write_baseline(path: str, findings) -> None:
-    payload = {
-        "version": BASELINE_VERSION,
-        "findings": [
-            {"path": p, "rule": r, "message": m}
-            for p, r, m in sorted({_baseline_key(f) for f in findings})
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _read_baseline(path: str) -> Set[Tuple[str, str, str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("version") != BASELINE_VERSION:
-        raise ReproError(
-            f"{path}: unsupported baseline version "
-            f"{payload.get('version')!r} (expected {BASELINE_VERSION})"
-        )
-    return {
-        (entry["path"], entry["rule"], entry["message"])
-        for entry in payload.get("findings", ())
-    }
-
-
 def _list_rules() -> str:
     """Every registered rule, sorted by name, with its kind."""
     lines = []
@@ -158,35 +111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "byte-identical at any job count)",
     )
     parser.add_argument(
-        "--profile",
-        default=None,
-        metavar="SPEC",
-        help="rank findings by measured cycles: a profile-carrying "
-        "snapshot file, 'store:<id>[#member]' ledger record, or a raw "
-        "profile-tree JSON dump",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="run-store root for 'store:' profile operands "
-        "(default: $REPRO_STORE / .repro-store)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="findings ratchet file: alone, record current findings to "
-        "FILE and exit 0; with --fail-on-new, suppress recorded "
-        "findings and gate only on new ones",
-    )
-    parser.add_argument(
-        "--fail-on-new",
-        action="store_true",
-        help="with --baseline: report (and fail on) only findings not "
-        "present in the baseline",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule (name, kind, category, "
@@ -202,41 +126,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.fail_on_new and not args.baseline:
-        parser.error("--fail-on-new requires --baseline")
     disabled = {name.strip() for name in args.disable.split(",") if name.strip()}
     known = {rule.name for rule in iter_rules()}
     unknown = disabled - known
     if unknown:
         parser.error(f"unknown rule(s) in --disable: {', '.join(sorted(unknown))}")
 
-    profile = None
-    if args.profile is not None:
-        from ..obs.store import load_profile
-
-        try:
-            profile = load_profile(args.profile, store_root=args.store)
-        except (OSError, ValueError, ReproError) as exc:
-            parser.error(f"cannot load profile {args.profile}: {exc}")
-
     try:
-        findings = lint_paths(
-            args.paths, disabled=disabled, jobs=args.jobs, profile=profile
-        )
+        findings = lint_paths(args.paths, disabled=disabled, jobs=args.jobs)
     except OSError as exc:
         parser.error(f"cannot lint {exc.filename or '?'}: {exc.strerror or exc}")
-
-    if args.baseline and not args.fail_on_new:
-        _write_baseline(args.baseline, findings)
-        noun = "finding" if len(findings) == 1 else "findings"
-        print(f"simlint: baseline {args.baseline} records {len(findings)} {noun}")
-        return 0
-    if args.baseline:
-        try:
-            recorded = _read_baseline(args.baseline)
-        except (OSError, ValueError, KeyError, ReproError) as exc:
-            parser.error(f"cannot read baseline {args.baseline}: {exc}")
-        findings = [f for f in findings if _baseline_key(f) not in recorded]
 
     if args.format == "json":
         print(_render_json(findings))

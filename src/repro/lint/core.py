@@ -37,51 +37,28 @@ _PRAGMA_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_\-,\s]+)")
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at a specific source location.
-
-    ``cycles``/``share`` are the profile-guided annotation: the measured
-    cycles (and fraction of the whole profile) attributed to the hot
-    region the finding sits in, filled in only when the run was given a
-    ``--profile`` operand. They rank output but stay out of
-    :attr:`message`, so ratchet baselines are profile-independent.
-    """
+    """One rule violation at a specific source location."""
 
     path: str
     line: int
     col: int
     rule: str
     message: str
-    cycles: int = 0
-    share: float = 0.0
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule)
 
-    def rank_key(self):
-        """Profile-guided order: most measured cycles first, then location."""
-        return (-self.cycles, self.path, self.line, self.col, self.rule)
-
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
         }
-        if self.cycles:
-            out["cycles"] = self.cycles
-            out["share"] = round(self.share, 4)
-        return out
 
     def render(self) -> str:
-        base = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-        if self.cycles:
-            return (
-                f"{base} [under {self.cycles} modelled cycles, "
-                f"{self.share:.0%} of profile]"
-            )
-        return base
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 class LintContext:
@@ -157,15 +134,7 @@ class ProgramRule(Rule):
     one sees the :class:`repro.lint.ipa.Program` and its
     :class:`repro.lint.ipa.Summaries` exactly once. Findings still
     anchor to a (path, line) and respect that file's pragmas.
-
-    A rule that sets :attr:`uses_profile` additionally receives the
-    loaded ``--profile`` tree (a
-    :class:`~repro.obs.profile.ProfileNode`, or ``None``) as a keyword
-    argument, so it can annotate findings with measured cycles.
     """
-
-    #: True when :meth:`check_program` accepts a ``profile=`` keyword.
-    uses_profile: bool = False
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         return iter(())
@@ -317,9 +286,7 @@ def _lint_one_worker(path: str, disabled):
     return _check_one_file(source, path, set(disabled))
 
 
-def _program_findings(
-    facts_list, disabled: Set[str], profile=None
-) -> List[Finding]:
+def _program_findings(facts_list, disabled: Set[str]) -> List[Finding]:
     """Whole-program phase: run every :class:`ProgramRule` once."""
     from .ipa import Program, Summaries  # lazy: ipa imports this module
 
@@ -333,11 +300,7 @@ def _program_findings(
     for rule in iter_rules():
         if not isinstance(rule, ProgramRule) or rule.name in disabled:
             continue
-        if rule.uses_profile:
-            produced = rule.check_program(program, summaries, profile=profile)
-        else:
-            produced = rule.check_program(program, summaries)
-        for finding in produced:
+        for finding in rule.check_program(program, summaries):
             facts = by_path.get(finding.path)
             if facts is not None and _suppressed(
                 finding, facts.file_disabled, facts.line_disabled
@@ -347,30 +310,20 @@ def _program_findings(
     return findings
 
 
-def _finish(findings: List[Finding], profile) -> List[Finding]:
-    """Final ordering: location order, or cycle rank under a profile."""
-    if profile is not None:
-        return sorted(findings, key=Finding.rank_key)
-    return sorted(findings, key=Finding.sort_key)
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
     disabled: Iterable[str] = (),
-    profile=None,
 ) -> List[Finding]:
     """Lint one source string; returns sorted findings.
 
     Program rules run over a single-module program, so self-contained
-    fixtures exercise them too. ``profile`` (a
-    :class:`~repro.obs.profile.ProfileNode`) enables profile-guided
-    annotation and ranking, exactly as ``--profile`` does on the CLI.
+    fixtures exercise them too.
     """
     disabled = set(disabled)
     findings, facts = _check_one_file(source, path, disabled)
-    findings = findings + _program_findings([facts], disabled, profile=profile)
-    return _finish(findings, profile)
+    findings = findings + _program_findings([facts], disabled)
+    return sorted(findings, key=Finding.sort_key)
 
 
 def lint_file(path, disabled: Iterable[str] = ()) -> List[Finding]:
@@ -398,10 +351,7 @@ def collect_files(paths: Iterable) -> List[Path]:
 
 
 def lint_paths(
-    paths: Iterable,
-    disabled: Iterable[str] = (),
-    jobs: int = 1,
-    profile=None,
+    paths: Iterable, disabled: Iterable[str] = (), jobs: int = 1
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; returns sorted findings.
 
@@ -409,10 +359,7 @@ def lint_paths(
     idiom as :func:`repro.parallel.run_cells`: tasks submitted in sorted
     file order, results consumed in submission order, so output is
     byte-identical at any job count). The whole-program phase always
-    runs single-process over the collected facts; ``profile`` (a loaded
-    :class:`~repro.obs.profile.ProfileNode`) feeds it for profile-guided
-    annotation, and ranks the final output by measured cycles -- both
-    independent of ``jobs``, so byte-identity holds with a profile too.
+    runs single-process over the collected facts.
     """
     disabled = set(disabled)
     files = [str(file_path) for file_path in collect_files(paths)]
@@ -436,8 +383,6 @@ def lint_paths(
                 results.append(future.result())
     findings = [finding for file_findings, _ in results for finding in file_findings]
     findings.extend(
-        _program_findings(
-            [facts for _, facts in results], disabled, profile=profile
-        )
+        _program_findings([facts for _, facts in results], disabled)
     )
-    return _finish(findings, profile)
+    return sorted(findings, key=Finding.sort_key)

@@ -22,27 +22,18 @@ subpackage sees the whole tree at once. It is built in three layers:
 beside the per-file ones in :mod:`repro.lint.rules`.
 """
 
-from .callgraph import Program, function_id
+from .callgraph import Program
 from .contracts import CONTRACTS, CallPattern, MirrorContract
-from .facts import (
-    AttrLoadFact,
-    EffectSiteFact,
-    ModuleFacts,
-    extract_facts,
-    module_name_for_path,
-)
+from .facts import ModuleFacts, extract_facts, module_name_for_path
 from .summaries import Summaries
 
 __all__ = [
     "CONTRACTS",
-    "AttrLoadFact",
     "CallPattern",
-    "EffectSiteFact",
     "MirrorContract",
     "ModuleFacts",
     "Program",
     "Summaries",
     "extract_facts",
-    "function_id",
     "module_name_for_path",
 ]

@@ -19,15 +19,7 @@ from pathlib import PurePath
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core import name_tokens, root_name, terminal_name
-from ..effects import ALLOC, RAISE, TRY_IN_LOOP, classify_call
 from ..flow import Space, infer_return_space, param_spaces, quick_space
-
-#: Identifier tokens whose presence in an ``if`` test marks the guarded
-#: branch as an observability guard (``if _tp.enabled:``, ``if
-#: tracer_active:``): effect sites under one are exempt from the
-#: hot-path trace/effect rules, because the disabled path never runs
-#: them.
-GUARD_TOKENS = frozenset({"enabled", "active"})
 
 #: Method names that mutate their receiver in place. Used by the
 #: spawn-safety rule to spot mutations of module-level state.
@@ -96,45 +88,6 @@ class IterationFact:
 
 
 @dataclass(frozen=True)
-class EffectSiteFact:
-    """One direct effect site inside a function body.
-
-    ``effect`` is a :data:`repro.lint.effects.LATTICE_EFFECTS` element
-    (minus ``global-mutation``/``unknown``, which are derived from other
-    facts) or :data:`repro.lint.effects.TRY_IN_LOOP` for a ``try``
-    statement inside a loop. ``detail`` is the human-readable site
-    description; for ``try`` sites it is the comma-joined handler
-    exception names ("" per bare/handlerless entry), so rules can exempt
-    idioms like the iterator-advance ``except StopIteration``.
-    """
-
-    line: int
-    col: int
-    effect: str
-    detail: str
-    #: True when the site executes once per iteration of an enclosing
-    #: loop or comprehension of the same function body.
-    in_loop: bool
-    #: True when the site sits under an observability guard (an ``if``
-    #: whose test mentions an ``enabled``/``active`` token).
-    guarded: bool
-
-
-@dataclass(frozen=True)
-class AttrLoadFact:
-    """One loaded name/attribute chain (``self.core.hierarchy``)."""
-
-    line: int
-    col: int
-    #: Dotted rendering of the chain.
-    chain: str
-    #: Identity of the innermost enclosing loop within the function body
-    #: (loops are numbered in scan order); two loads share a loop iff
-    #: their ids match. Only in-loop loads are recorded.
-    loop_id: int
-
-
-@dataclass(frozen=True)
 class GlobalMutationFact:
     """A candidate mutation of module-level state inside a function."""
 
@@ -175,16 +128,6 @@ class FunctionFacts:
     calls: Tuple[CallFact, ...]
     iterations: Tuple[IterationFact, ...]
     global_mutations: Tuple[GlobalMutationFact, ...]
-    #: Direct effect sites, in scan order (see :class:`EffectSiteFact`).
-    effect_sites: Tuple[EffectSiteFact, ...] = ()
-    #: In-loop name/attribute-chain loads (hoisting candidates).
-    attr_loads: Tuple[AttrLoadFact, ...] = ()
-    #: Bare names the body assigns (incl. loop targets): a chain rooted
-    #: at one is not loop-invariant, so not a hoisting candidate.
-    stored_roots: FrozenSet[str] = frozenset()
-    #: Dotted chains the body assigns or deletes (``self.x.y = ...``):
-    #: loads of them (or extensions of them) are not hoistable either.
-    stored_chains: FrozenSet[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -420,10 +363,6 @@ class _Extractor:
                 calls=tuple(body.calls),
                 iterations=tuple(body.iterations),
                 global_mutations=tuple(body.global_mutations),
-                effect_sites=tuple(body.effect_sites),
-                attr_loads=tuple(body.attr_loads),
-                stored_roots=frozenset(body.stored_roots),
-                stored_chains=frozenset(body.stored_chains),
             )
         )
         for nested in body.nested:
@@ -452,10 +391,6 @@ class _Extractor:
             calls=tuple(body.calls),
             iterations=tuple(body.iterations),
             global_mutations=tuple(body.global_mutations),
-            effect_sites=tuple(body.effect_sites),
-            attr_loads=tuple(body.attr_loads),
-            stored_roots=frozenset(body.stored_roots),
-            stored_chains=frozenset(body.stored_chains),
         )
 
 
@@ -567,20 +502,9 @@ class _BodyScanner:
         self.calls: List[CallFact] = []
         self.iterations: List[IterationFact] = []
         self.global_mutations: List[GlobalMutationFact] = []
-        self.effect_sites: List[EffectSiteFact] = []
-        self.attr_loads: List[AttrLoadFact] = []
-        self.stored_roots: set = set()
-        self.stored_chains: set = set()
         self.return_calls: List[int] = []
         self.nested: List[ast.AST] = []
         self._globals: set = set()
-        #: Stack of loop ids; non-empty means "inside a loop". Loops are
-        #: numbered in scan order so two sites can be matched to the
-        #: same innermost loop.
-        self._loop_stack: List[int] = []
-        self._loop_counter = 0
-        #: Depth of enclosing observability guards (``if X.enabled:``).
-        self._guard_depth = 0
 
     def run(self) -> None:
         body = (
@@ -590,10 +514,6 @@ class _BodyScanner:
         )
         for stmt in body:
             self._scan(stmt)
-
-    def _scan_all(self, nodes) -> None:
-        for node in nodes:
-            self._scan(node)
 
     def _scan(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -611,149 +531,14 @@ class _BodyScanner:
                 self.return_calls.append(len(self.calls))
         elif isinstance(node, ast.Call):
             self._record_call(node)
-            self._record_call_effect(node)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
-            # Target and iterable evaluate outside the iteration; only
-            # the body (and else) repeat per element.
             self._record_iteration(node.iter)
-            self._scan(node.target)
-            self._scan(node.iter)
-            self._enter_loop()
-            self._scan_all(node.body)
-            self._exit_loop()
-            self._scan_all(node.orelse)
-            return
-        elif isinstance(node, ast.While):
-            self._scan(node.test)
-            self._enter_loop()
-            self._scan_all(node.body)
-            self._exit_loop()
-            self._scan_all(node.orelse)
-            return
-        elif isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            # The comprehension itself is one allocation (generator
-            # expressions build no container); its element expression
-            # runs per iteration, so it scans in loop context.
-            if not isinstance(node, ast.GeneratorExp):
-                self._record_effect(node, ALLOC, _COMP_DESC[type(node)])
-            self._enter_loop()
-            for gen in node.generators:
-                self._record_iteration(gen.iter)
-                self._scan(gen.target)
-                self._scan(gen.iter)
-                self._scan_all(gen.ifs)
-            if isinstance(node, ast.DictComp):
-                self._scan(node.key)
-                self._scan(node.value)
-            else:
-                self._scan(node.elt)
-            self._exit_loop()
-            return
-        elif isinstance(node, ast.If):
-            self._scan(node.test)
-            guarded = bool(name_tokens(node.test) & GUARD_TOKENS)
-            if guarded:
-                self._guard_depth += 1
-            self._scan_all(node.body)
-            if guarded:
-                self._guard_depth -= 1
-            self._scan_all(node.orelse)
-            return
-        elif isinstance(node, ast.Try):
-            if self._loop_stack:
-                self._record_effect(
-                    node, TRY_IN_LOOP, _handler_names(node)
-                )
-        elif isinstance(node, ast.Raise):
-            raised = (
-                terminal_name(node.exc.func)
-                if isinstance(node.exc, ast.Call)
-                else terminal_name(node.exc)
-                if node.exc is not None
-                else None
-            )
-            self._record_effect(node, RAISE, raised or "re-raise")
-        elif isinstance(node, ast.Name):
-            if isinstance(node.ctx, (ast.Store, ast.Del)):
-                self.stored_roots.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            chain = _dotted_path(node)
-            if chain:
-                if isinstance(node.ctx, ast.Load):
-                    if len(chain) >= 2 and self._loop_stack:
-                        self.attr_loads.append(
-                            AttrLoadFact(
-                                line=node.lineno,
-                                col=node.col_offset,
-                                chain=".".join(chain),
-                                loop_id=self._loop_stack[-1],
-                            )
-                        )
-                else:
-                    self.stored_chains.add(".".join(chain))
-                # Pure chains contain only Name/Attribute nodes; the
-                # sub-chains are part of this load, not loads themselves.
-                return
-        elif isinstance(node, ast.JoinedStr):
-            self._record_effect(node, ALLOC, "f-string")
-        elif isinstance(node, ast.List):
-            if isinstance(node.ctx, ast.Load):
-                self._record_effect(node, ALLOC, "list literal")
-        elif isinstance(node, ast.Set):
-            self._record_effect(node, ALLOC, "set literal")
-        elif isinstance(node, ast.Dict):
-            self._record_effect(node, ALLOC, "dict literal")
-        elif isinstance(node, ast.Tuple):
-            # All-constant tuples are folded to one shared constant by
-            # the compiler; only tuples built from live values allocate.
-            if (
-                isinstance(node.ctx, ast.Load)
-                and node.elts
-                and not all(
-                    isinstance(elt, ast.Constant) for elt in node.elts
-                )
-            ):
-                self._record_effect(node, ALLOC, "tuple construction")
+        elif isinstance(node, ast.comprehension):
+            self._record_iteration(node.iter)
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
             self._record_mutation(node)
         for child in ast.iter_child_nodes(node):
             self._scan(child)
-
-    # -- effects --------------------------------------------------------- #
-
-    def _enter_loop(self) -> None:
-        self._loop_counter += 1
-        self._loop_stack.append(self._loop_counter)
-
-    def _exit_loop(self) -> None:
-        self._loop_stack.pop()
-
-    def _record_effect(self, node: ast.AST, effect: str, detail: str) -> None:
-        self.effect_sites.append(
-            EffectSiteFact(
-                line=node.lineno,
-                col=node.col_offset,
-                effect=effect,
-                detail=detail,
-                in_loop=bool(self._loop_stack),
-                guarded=self._guard_depth > 0,
-            )
-        )
-
-    def _record_call_effect(self, node: ast.Call) -> None:
-        func = node.func
-        name = terminal_name(func) or ""
-        root = root_name(func) or ""
-        tokens = (
-            name_tokens(func.value)
-            if isinstance(func, ast.Attribute)
-            else frozenset()
-        )
-        classified = classify_call(name, root, tokens)
-        if classified is not None:
-            self._record_effect(node, classified[0], classified[1])
 
     # -- calls ---------------------------------------------------------- #
 
@@ -899,28 +684,6 @@ class _BodyScanner:
                             how="subscript",
                         )
                     )
-
-
-#: Site descriptions of the allocating comprehension forms.
-_COMP_DESC = {
-    ast.ListComp: "list comprehension",
-    ast.SetComp: "set comprehension",
-    ast.DictComp: "dict comprehension",
-}
-
-
-def _handler_names(node: ast.Try) -> str:
-    """Comma-joined handler exception names ("" per bare handler)."""
-    names: List[str] = []
-    for handler in node.handlers:
-        kind = handler.type
-        if kind is None:
-            names.append("")
-        elif isinstance(kind, ast.Tuple):
-            names.extend(terminal_name(elt) or "" for elt in kind.elts)
-        else:
-            names.append(terminal_name(kind) or "")
-    return ",".join(names)
 
 
 def _dotted_path(node: ast.AST) -> Tuple[str, ...]:

@@ -55,7 +55,6 @@ class Summaries:
         #: where an inherited demand came from, for finding messages.
         self.demand_provenance: Dict[Tuple[FunctionId, int], Tuple[FunctionId, int]] = {}
         self._mutation_cache: Dict[object, Dict[FunctionId, FrozenSet[int]]] = {}
-        self._effects: Optional[Dict[FunctionId, FrozenSet[str]]] = None
 
     # ------------------------------------------------------------------ #
     # Reachability
@@ -192,83 +191,6 @@ class Summaries:
             seen.add((fid, index))
             chain.append((fid, index))
         return chain
-
-    # ------------------------------------------------------------------ #
-    # Effect sets (repro.lint.effects)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def effects(self) -> Dict[FunctionId, FrozenSet[str]]:
-        """fid -> transitively-closed effect set (see :mod:`..effects`).
-
-        Direct effects come from the per-function effect sites recorded
-        at extraction time, plus ``global-mutation`` for mutation facts
-        that resolve to real module-level state (mirroring the
-        spawn-safety resolution: candidates on locals do not count), plus
-        ``unknown`` for unresolved calls outside the pure/classified
-        allowlist (the widening step). Closure is the usual monotone
-        union over resolved edges, so recursion converges.
-        """
-        if self._effects is None:
-            from ..effects import GLOBAL_MUTATION, TRY_IN_LOOP, UNKNOWN, widens
-
-            program = self.program
-            edges = program.edges
-            sets: Dict[FunctionId, set] = {}
-            for fid, (mf, ff) in program.functions.items():
-                direct = {
-                    site.effect
-                    for site in ff.effect_sites
-                    if site.effect != TRY_IN_LOOP
-                }
-                if any(
-                    mutation.how == "assign"
-                    or self._is_module_state(mf, mutation.root)
-                    for mutation in ff.global_mutations
-                ):
-                    direct.add(GLOBAL_MUTATION)
-                resolved = {index for index, _ in edges.get(fid, ())}
-                for index, call in enumerate(ff.calls):
-                    if index in resolved:
-                        continue
-                    if widens(call.name):
-                        direct.add(UNKNOWN)
-                        break
-                sets[fid] = direct
-            changed = True
-            while changed:
-                changed = False
-                for fid, mine in sets.items():
-                    before = len(mine)
-                    for _, targets in edges.get(fid, ()):
-                        for target in targets:
-                            if target != fid:
-                                mine.update(sets.get(target, ()))
-                    if len(mine) != before:
-                        changed = True
-            self._effects = {
-                fid: frozenset(effect_set)
-                for fid, effect_set in sets.items()
-            }
-        return self._effects
-
-    def is_pure(self, fid: FunctionId) -> bool:
-        """True when ``fid``'s closed effect set is provably empty."""
-        from ..effects import UNKNOWN
-
-        return not self.effects.get(fid, frozenset({UNKNOWN}))
-
-    def _is_module_state(self, mf, root: str) -> bool:
-        """Does ``root`` name module-level mutable state, seen from ``mf``?"""
-        if root in mf.module_mutables:
-            return True
-        dotted = mf.imports.get(root)
-        if dotted:
-            module, _, member = dotted.rpartition(".")
-            home = self.program.by_module.get(module)
-            if home is not None and member in home.module_mutables:
-                return True
-        return False
 
     # ------------------------------------------------------------------ #
     # Mutation parameters (mirror-coherence)

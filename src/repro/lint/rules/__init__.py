@@ -5,7 +5,6 @@ from . import (
     address_math,
     api_hygiene,
     determinism,
-    hotpath,
     ipa_address_flow,
     mirror_coherence,
     observability,
@@ -19,7 +18,6 @@ __all__ = [
     "address_math",
     "api_hygiene",
     "determinism",
-    "hotpath",
     "ipa_address_flow",
     "mirror_coherence",
     "observability",

@@ -341,6 +341,11 @@ def load_snapshot(spec: Union[str, Path]) -> MetricsSnapshot:
     path, _, label = spec.partition("#")
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ReproError(
+            f"{path}: not a metrics snapshot file "
+            f"(top-level JSON {type(payload).__name__}, expected an object)"
+        )
     kind = payload.get("kind")
     if kind == SNAPSHOT_KIND:
         return MetricsSnapshot.from_dict(payload)

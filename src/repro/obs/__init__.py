@@ -75,7 +75,6 @@ from .store import (
     StoreEntry,
     default_store_root,
     load_operand,
-    load_profile,
     manifest_sha,
     record_id,
     snapshot_documents,
@@ -138,7 +137,6 @@ __all__ = [
     "iter_manifest_events",
     "iter_trace",
     "load_operand",
-    "load_profile",
     "manifest_fingerprint",
     "manifest_sha",
     "merge_capsules",

@@ -33,6 +33,10 @@ appends a snapshot file as a content-addressed record, ``list``/
 rolling-median trend verdicts over the last N records of a label
 (:mod:`repro.obs.trend`) and ``watch`` tails a run manifest as a live
 terminal board (:mod:`repro.obs.watch`).
+
+Exit status: 0 on success, 1 when a ``--threshold`` gate fails, 2 on a
+usage error or bad input (missing file, malformed snapshot or trace),
+reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..errors import ReproError
 from .diff import diff_snapshots, render_diff
 from .export import render_summary, summarize, to_chrome
 from .sinks import iter_trace
@@ -666,4 +671,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "strict_new", False) and args.threshold is None:
         parser.error("--strict-new requires --threshold")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, ReproError) as exc:
+        # Bad input exits 2, distinct from a --threshold regression (1).
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

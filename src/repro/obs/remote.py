@@ -480,7 +480,7 @@ def manifest_fingerprint(path: Union[str, Path]) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# Live progress
+# Worker heartbeats
 # ---------------------------------------------------------------------- #
 
 def heartbeat_start(experiment: str, seed: int) -> Dict[str, object]:
@@ -508,20 +508,3 @@ def heartbeat_finish(
         "pid": os.getpid(),
         "wall_seconds": elapsed_seconds,
     }
-
-
-def render_progress_event(event: Dict[str, object]) -> Optional[str]:
-    """One live status line per lifecycle event (``--progress``)."""
-    kind = event.get("event")
-    label = f"{event.get('experiment')}[seed={event.get('seed')}]"
-    if kind == "submit":
-        return f"[submit] {label}"
-    if kind == "start":
-        return f"[start ] {label} (pid {event.get('pid')})"
-    if kind == "finish":
-        elapsed = event.get("wall_seconds")
-        suffix = f" {elapsed:.1f}s" if isinstance(elapsed, float) else ""
-        return f"[finish] {label}{suffix}"
-    if kind == "crash":
-        return f"[crash ] {label}: {event.get('error')}"
-    return None

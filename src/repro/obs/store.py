@@ -496,7 +496,7 @@ def snapshot_documents(path: Union[str, Path]) -> Dict[str, dict]:
 
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    kind = payload.get("kind")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == SNAPSHOT_KIND:
         return {str(payload.get("label", "")): payload}
     if kind == SNAPSHOT_FAMILY_KIND:
@@ -542,93 +542,3 @@ def load_operand(
         return load_snapshot(spec)
     token, member = parse_store_operand(spec)
     return RunStore(store_root).snapshot(token, member)
-
-
-def _sole_profiled_document(documents: Dict[str, dict], what: str) -> dict:
-    """The one member document carrying a profile, or a pointed error."""
-    profiled = {
-        member: doc
-        for member, doc in documents.items()
-        if doc.get("profile")
-    }
-    if len(profiled) == 1:
-        (doc,) = profiled.values()
-        return doc
-    if not profiled:
-        raise ReproError(
-            f"{what} carries no cycle-attribution profile; re-run the "
-            "experiment with --profile"
-        )
-    raise ReproError(
-        f"{what} holds {len(profiled)} profiled snapshots; pick one with "
-        f"'#<member>' (have: {', '.join(sorted(profiled))})"
-    )
-
-
-def load_profile(
-    spec: Union[str, Path],
-    store_root: Optional[Union[str, Path]] = None,
-) -> "ProfileNode":
-    """Load a cycle-attribution tree from a profile operand.
-
-    Accepts the same operand grammar as :func:`load_operand` --
-    ``store:<id>[#member]`` or ``path[#member]`` -- plus a bare
-    :class:`~repro.obs.profile.ProfileNode` tree dumped as JSON. When no
-    member is named, the unique member carrying a profile is picked
-    (erroring if there are zero or several). This is what feeds
-    ``python -m repro.lint --profile`` its cycle weights.
-    """
-    from ..metrics.registry import (
-        SNAPSHOT_FAMILY_KIND,
-        SNAPSHOT_KIND,
-        MetricsSnapshot,
-    )
-    from .profile import ProfileNode
-
-    spec = str(spec)
-    if spec.startswith(STORE_OPERAND_PREFIX):
-        token, member = parse_store_operand(spec)
-        record = RunStore(store_root).load(token)
-        what = f"record {record.id}"
-        if member:
-            if member not in record.snapshots:
-                raise ReproError(
-                    f"{what}: no snapshot labelled {member!r} "
-                    f"(have: {', '.join(sorted(record.snapshots))})"
-                )
-            doc = record.snapshots[member]
-        else:
-            doc = _sole_profiled_document(record.snapshots, what)
-    else:
-        path, _, member = spec.partition("#")
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        kind = payload.get("kind")
-        if kind == SNAPSHOT_KIND:
-            documents = {str(payload.get("label", "")): payload}
-        elif kind == SNAPSHOT_FAMILY_KIND:
-            members = dict(payload.get("snapshots") or {})
-            documents = {str(name): members[name] for name in sorted(members)}
-        elif kind is None and {"cycles", "count"} <= payload.keys():
-            return ProfileNode.from_dict("root", payload)
-        else:
-            raise ReproError(
-                f"{path}: not a metrics snapshot or profile tree "
-                f"(kind={kind!r})"
-            )
-        if member:
-            if member not in documents:
-                raise ReproError(
-                    f"{path}: no snapshot labelled {member!r} "
-                    f"(have: {', '.join(sorted(documents))})"
-                )
-            doc = documents[member]
-        else:
-            doc = _sole_profiled_document(documents, str(path))
-    snapshot = MetricsSnapshot.from_dict(doc)
-    if snapshot.profile is None:
-        raise ReproError(
-            f"snapshot {snapshot.label!r} carries no cycle-attribution "
-            "profile; re-run the experiment with --profile"
-        )
-    return snapshot.profile

@@ -1,8 +1,8 @@
 """Live run watch: a refreshing terminal board over the run manifest.
 
-A ``--jobs N`` run is visible only after the fact: the manifest is a
-post-hoc log and ``--progress`` prints one line per lifecycle event.
-This module turns the same event stream into a *live board*:
+A ``--jobs N`` run is visible only after the fact in the manifest,
+which is a post-hoc log. This module turns the same event stream into a
+*live board*:
 
 * :class:`WatchBoard` -- a pure state machine consuming manifest events
   (``run_start`` / ``submit`` / ``start`` / ``finish`` / ``crash`` /

@@ -29,8 +29,8 @@ Observability crosses the process boundary in two channels:
   :data:`CellOutput`.
 * ``on_event`` receives lifecycle events -- ``submit`` from the parent,
   ``start``/``finish`` heartbeats from workers (via a manager queue),
-  ``crash`` on worker death -- powering the runner's ``--progress``
-  view and run manifest. A cell's ``finish`` heartbeat is always
+  ``crash`` on worker death -- powering the runner's ``--watch``
+  board and run manifest. A cell's ``finish`` heartbeat is always
   delivered before its result is yielded, so manifest writers observing
   only these callbacks stay deterministic.
 

@@ -3,7 +3,6 @@
 from .engine import Simulation, WorkloadRun
 from .machine import CoreContext, Machine
 from .results import RunResult, SimulationResult
-from .sampling import TimeSeries, TurnSampler
 from .scheduler import RoundRobinScheduler
 
 __all__ = [
@@ -13,7 +12,5 @@ __all__ = [
     "RunResult",
     "Simulation",
     "SimulationResult",
-    "TimeSeries",
-    "TurnSampler",
     "WorkloadRun",
 ]

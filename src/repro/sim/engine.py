@@ -165,7 +165,7 @@ class WorkloadRun:
             self.current_phase = op.phase
         else:  # pragma: no cover - defensive
             # The error path ends the run; a valid stream never gets here.
-            raise SimulationError(f"unknown op {op!r}")  # simlint: disable=hotpath-alloc
+            raise SimulationError(f"unknown op {op!r}")
 
     def _vpn_for(self, op: AccessOp) -> int:
         vma = self._regions.get(op.region)
@@ -205,11 +205,11 @@ class WorkloadRun:
         if PROFILER.enabled:
             # Cycle attribution is the profiler's job: the guard keeps
             # these module-state updates off unprofiled runs entirely.
-            PROFILER.add(  # simlint: disable=hotpath-effect
+            PROFILER.add(
                 ("access", "data", core.hierarchy.last_outcome.name.lower()),
                 data_latency,
             )
-            PROFILER.add(  # simlint: disable=hotpath-effect
+            PROFILER.add(
                 ("access", "issue"), core.config.base_cycles_per_access
             )
         if TRACER.active:

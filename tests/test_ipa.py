@@ -261,6 +261,22 @@ def test_interprocedural_demo_flagged_at_the_binding_site():
     assert "_drop" in findings[0].message
 
 
+def test_mirror_coherence_line_pragma_suppresses_program_finding():
+    # Program-rule findings honour the line pragma at their anchor, reason
+    # text included (how core/allocator.py waives a reviewed mutation).
+    binding = "        self._drop(process.page_table, vpn)\n"
+    waived = DELEGATED_MUTATION.replace(
+        binding,
+        binding[:-1] + "  # simlint: disable=mirror-coherence (reviewed)\n",
+    )
+    assert rules_hit(waived) == []
+    # A pragma naming another rule leaves the finding standing.
+    other = DELEGATED_MUTATION.replace(
+        binding, binding[:-1] + "  # simlint: disable=spawn-safety\n"
+    )
+    assert rules_hit(other) == ["mirror-coherence"]
+
+
 def test_interprocedural_demo_helper_alone_passes_per_function_view():
     # The helper in isolation is what a per-function rule sees -- and it is
     # clean: mutating a bare parameter defers the obligation to callers.

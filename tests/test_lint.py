@@ -485,17 +485,21 @@ def test_cli_rejects_unknown_disable(tmp_path):
     bad.write_text(BAD_SNIPPET)
     with pytest.raises(SystemExit):
         lint_main([str(bad), "--disable", "no-such-rule"])
-    # The retired fastpath-invalidation id is no longer accepted either.
-    with pytest.raises(SystemExit) as excinfo:
-        lint_main([str(bad), "--disable", "fastpath-invalidation"])
-    assert excinfo.value.code == 2
+    # The retired fastpath-invalidation and hotpath-* ids are no longer
+    # accepted either.
+    for retired in ("fastpath-invalidation", "hotpath-alloc"):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([str(bad), "--disable", retired])
+        assert excinfo.value.code == 2
 
 
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for name in RULES:
-        assert name in out
+    lines = capsys.readouterr().out.strip().splitlines()
+    names = [line.split()[0] for line in lines]
+    assert names == sorted(RULES)
+    for line in lines:
+        assert "[file/" in line or "[program/" in line
 
 
 def test_module_entry_point_detects_seeded_violation(tmp_path):

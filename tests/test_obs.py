@@ -429,6 +429,52 @@ class TestExport:
         assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        "diff-missing",
+        "diff-list",
+        "store-add-list",
+        "summarize-malformed",
+        "export-malformed",
+    ],
+)
+def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    """Bad input exits 2, distinct from a ``diff --threshold`` breach (1)."""
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]\n")
+    trace = tmp_path / "bad.trace.jsonl"
+    trace.write_text('{"seq": 0, "ts": 0, "turn": 0, "name": "a.b"}\nnot json\n')
+    exported = tmp_path / "out.trace.json"
+    argv, message = {
+        "diff-missing": (
+            ["diff", str(tmp_path / "missing.json"), str(listing)],
+            "missing.json",
+        ),
+        "diff-list": (
+            ["diff", str(listing), str(listing)],
+            "not a metrics snapshot file",
+        ),
+        "store-add-list": (
+            ["store", "add", str(listing), "--store", str(tmp_path / "store")],
+            "not a metrics snapshot file",
+        ),
+        "summarize-malformed": (
+            ["summarize", str(trace)], "malformed trace line 2"
+        ),
+        "export-malformed": (
+            ["export", str(trace), "-o", str(exported)],
+            "malformed trace line 2",
+        ),
+    }[case]
+    assert obs_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not exported.exists()
+
+
 # ---------------------------------------------------------------------- #
 # The zero-overhead guarantee: disabled tracing changes nothing
 # ---------------------------------------------------------------------- #

@@ -66,6 +66,11 @@ class TestRunnerCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["--experiment", "bogus"])
+        # --progress is unknown: --watch is the one live renderer of
+        # worker heartbeats.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--experiment", "table2", "--progress"])
+        assert excinfo.value.code == 2
 
     def test_metrics_flags_require_single_experiment(self, tmp_path):
         with pytest.raises(SystemExit):

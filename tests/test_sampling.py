@@ -1,10 +1,8 @@
-"""Tests for the turn sampler."""
-
-import pytest
+"""Tests for turn-cadence sampling through a registered PeriodicSampler."""
 
 from repro import PlatformConfig, Simulation
 from repro.config import GuestConfig, HostConfig
-from repro.sim.sampling import TimeSeries, TurnSampler
+from repro.obs.sampler import PeriodicSampler, TimeSeries
 from repro.units import MB
 from repro.workloads import ScriptedWorkload
 
@@ -32,14 +30,10 @@ class TestTimeSeries:
 
 
 class TestTurnSampler:
-    def test_cadence_validation(self):
-        with pytest.raises(ValueError):
-            TurnSampler(make_sim(), every=0)
-
     def test_samples_on_cadence(self):
         sim = make_sim()
         run = sim.add_workload(ScriptedWorkload.touch_region("t", 400))
-        sampler = TurnSampler(sim, every=2)
+        sampler = sim.add_sampler(PeriodicSampler(sim, every_turns=2))
         sampler.add_probe("rss", lambda s: run.process.rss_pages)
         sampler.run_until(lambda: run.finished)
         series = sampler.series["rss"]
@@ -52,7 +46,7 @@ class TestTurnSampler:
     def test_multiple_probes(self):
         sim = make_sim()
         run = sim.add_workload(ScriptedWorkload.touch_region("t", 64))
-        sampler = TurnSampler(sim, every=1)
+        sampler = sim.add_sampler(PeriodicSampler(sim, every_turns=1))
         sampler.add_probe("free", lambda s: s.kernel.free_fraction)
         sampler.add_probe("turns", lambda s: s.turns)
         sampler.run_until(lambda: run.finished)
@@ -62,7 +56,7 @@ class TestTurnSampler:
     def test_final_sample_always_taken(self):
         sim = make_sim()
         run = sim.add_workload(ScriptedWorkload.touch_region("t", 8))
-        sampler = TurnSampler(sim, every=10_000)
+        sampler = sim.add_sampler(PeriodicSampler(sim, every_turns=10_000))
         sampler.add_probe("rss", lambda s: run.process.rss_pages)
         sampler.run_until(lambda: run.finished)
         assert sampler.series["rss"].final == 8
