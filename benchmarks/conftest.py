@@ -10,10 +10,6 @@ machine-readable metrics-snapshot JSON per experiment (the same
 documents ``python -m repro.experiments.runner --metrics-out`` writes);
 compare two runs with ``python -m repro.obs diff``. The committed seed
 baselines under ``benchmarks/baselines/`` were produced this way.
-
-Set ``REPRO_STORE=some/dir`` to additionally append each emitted
-snapshot family to the run ledger (``python -m repro.obs store list /
-trend``), so every CI benchmark run extends the perf history.
 """
 
 import os
@@ -23,7 +19,6 @@ import pytest
 
 from repro.config import PlatformConfig
 from repro.metrics.registry import write_snapshots
-from repro.obs.store import STORE_ENV, RunRecord, RunStore, git_revision
 
 #: Environment variable selecting where experiment snapshots land.
 SNAPSHOT_DIR_ENV = "REPRO_SNAPSHOT_DIR"
@@ -51,27 +46,15 @@ def run_once(benchmark, func, *args, **kwargs):
 def emit_snapshots(name, snapshots):
     """Write ``snapshots`` to ``$REPRO_SNAPSHOT_DIR/<name>.json`` if set.
 
-    With ``$REPRO_STORE`` set, also appends the family as a run-ledger
-    record labelled ``name`` (``python -m repro.obs trend`` reads the
-    history back). No-op (returns None) when neither environment
-    variable is present, so the benchmark suite stays side-effect-free
-    by default.
+    Returns the written path, or None (writing nothing) when the
+    environment variable is absent, so the benchmark suite stays
+    side-effect-free by default.
     """
     directory = os.environ.get(SNAPSHOT_DIR_ENV)
-    path = None
-    if directory:
-        path = Path(directory) / f"{name}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_snapshots(path, snapshots)
-        print(f"wrote {path}")
-    if os.environ.get(STORE_ENV):
-        store = RunStore()
-        record = RunRecord.from_snapshots(
-            name,
-            snapshots,
-            config={"source": "benchmarks", "experiment": name},
-            git_rev=git_revision(),
-        )
-        entry = store.add(record)
-        print(f"appended record {entry.id} ({name}) to {store.root}")
+    if not directory:
+        return None
+    path = Path(directory) / f"{name}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_snapshots(path, snapshots)
+    print(f"wrote {path}")
     return path

@@ -536,16 +536,6 @@ def main(argv=None) -> int:
         "finished, modelled cycles, ops/sec, fault p99) to stderr while "
         "the run is in flight; outputs are unchanged",
     )
-    parser.add_argument(
-        "--store",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help="append the run's metrics snapshots as a record to the run "
-        "ledger at DIR (default: $REPRO_STORE or .repro-store; inspect "
-        "with: python -m repro.obs store list / trend)",
-    )
     args = parser.parse_args(argv)
     if args.sample_interval < 0:
         parser.error("--sample-interval must be non-negative")
@@ -561,32 +551,25 @@ def main(argv=None) -> int:
         args.profile = True
     if (
         args.metrics_out or args.profile or args.flamegraph
-        or args.store is not None
     ) and args.experiment == "all":
         parser.error(
-            "--metrics-out/--profile/--flamegraph/--store need a single "
-            "--experiment"
+            "--metrics-out/--profile/--flamegraph need a single --experiment"
         )
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     # Fail fast on unwritable output targets: a full run must never be
     # thrown away because its destination turns out to be unwritable
     # after the simulation finished.
-    store = None
-    if args.store is not None:
-        from ..obs.store import RunStore
-
-        store = RunStore(args.store or None)
-        store_error = store.check_writable()
-        if store_error is not None:
-            print(f"error: --store: {store_error}", file=sys.stderr)
-            return 2
-    if args.metrics_out:
-        metrics_error = _output_path_error(args.metrics_out)
-        if metrics_error is not None:
-            print(
-                f"error: --metrics-out: {metrics_error}", file=sys.stderr
-            )
+    for option, path in (
+        ("--metrics-out", args.metrics_out),
+        ("--json", args.json),
+        ("--trace", args.trace),
+        ("--flamegraph", args.flamegraph),
+        ("--manifest", args.manifest),
+    ):
+        error = _output_path_error(path) if path else None
+        if error is not None:
+            print(f"error: {option}: {error}", file=sys.stderr)
             return 2
     if args.seeds is not None:
         try:
@@ -696,8 +679,8 @@ def main(argv=None) -> int:
     merged = merge_capsules(capsule_entries) if capture is not None else None
     if merged is not None and merged.profile is not None:
         # Embed the merged attribution tree into the experiment's own
-        # snapshots so --metrics-out files and --store records carry it
-        # (and obs diff's profile ranking can load it from either).
+        # snapshots so --metrics-out files carry it (and obs diff's
+        # profile ranking can load it from them).
         for label in sorted(snapshots):
             if snapshots[label].profile is None:
                 snapshots[label].profile = merged.profile
@@ -745,46 +728,6 @@ def main(argv=None) -> int:
             print(
                 f"{args.experiment} produces no metrics snapshot; "
                 f"skipped {args.metrics_out}"
-            )
-    if store is not None:
-        if snapshots:
-            from ..obs.store import RunRecord, git_revision, manifest_sha
-
-            capsule_rollup = None
-            if merged is not None:
-                capsule_rollup = {
-                    "cells": len(merged.provenance),
-                    "events": len(merged.events),
-                    "dropped_events": merged.dropped_events,
-                }
-            record = RunRecord.from_snapshots(
-                args.experiment,
-                snapshots,
-                # Scheduling parameters (--jobs) are deliberately not
-                # recorded: they change how cells executed, not what
-                # they computed, so the record id is identical at any
-                # job count.
-                config={
-                    "experiment": args.experiment,
-                    "seeds": seeds,
-                    "trace": bool(args.trace),
-                    "profile": bool(args.profile),
-                },
-                git_rev=git_revision(),
-                manifest_sha=(
-                    manifest_sha(args.manifest) if args.manifest else None
-                ),
-                capsule=capsule_rollup,
-            )
-            entry = store.add(record)
-            print(
-                f"appended record {entry.id} to {store.root} "
-                "(inspect: python -m repro.obs store list / trend)"
-            )
-        else:
-            print(
-                f"{args.experiment} produces no metrics snapshot; "
-                f"nothing appended to {store.root}"
             )
     if args.flamegraph:
         profile = merged.profile if merged is not None else None

@@ -13,12 +13,6 @@ Plain-``Name`` iteration (``for x in frames``) is out of scope: the
 per-file ``determinism`` rules own those shapes. This rule exists for
 the cross-function case: the helper three calls below ``to_dict`` whose
 ``.items()`` loop decides the document's key order.
-
-The run-ledger serializers (:meth:`repro.obs.store.RunRecord.to_record`
-and :meth:`repro.obs.store.StoreEntry.to_index_entry`) are roots too:
-record ids are content hashes of the serialized bytes, so any
-order-unstable iteration there would split identical runs into
-different ledger ids.
 """
 
 from __future__ import annotations
@@ -35,10 +29,6 @@ SERIALIZER_NAMES = frozenset(
         "to_prometheus",
         "to_document",
         "to_snapshot",
-        # Run-ledger serializers: their bytes are content-hashed into
-        # record ids (repro.obs.store), so ordering bugs corrupt identity.
-        "to_record",
-        "to_index_entry",
     }
 )
 

@@ -27,13 +27,8 @@ traces:
   per-worker telemetry capsules for ``--jobs N`` runs, deterministic
   cross-worker trace/profile merge, and the structured run manifest
   (see :mod:`repro.obs.remote`);
-* :class:`RunStore` / :class:`RunRecord` -- the append-only run ledger
-  (``python -m repro.obs store``, ``diff store:<id>`` operands), with
-  :func:`compute_trends` / ``python -m repro.obs trend`` rolling-median
-  trend analytics over it and :class:`WatchBoard` /
-  ``python -m repro.obs watch`` as the live view of an in-flight run
-  (see :mod:`repro.obs.store`, :mod:`repro.obs.trend`,
-  :mod:`repro.obs.watch`).
+* :class:`WatchBoard` / ``python -m repro.obs watch`` -- the live view
+  of an in-flight run (see :mod:`repro.obs.watch`).
 
 Record a trace from the experiment runner and inspect it::
 
@@ -69,25 +64,6 @@ from .profile import (
 )
 from .sampler import PeriodicSampler, TimeSeries, standard_sampler
 from .sinks import JsonlSink, RingBufferSink, iter_trace, read_trace
-from .store import (
-    RunRecord,
-    RunStore,
-    StoreEntry,
-    default_store_root,
-    load_operand,
-    manifest_sha,
-    record_id,
-    snapshot_documents,
-)
-from .trend import (
-    MetricTrend,
-    analyse_store,
-    compute_trends,
-    render_trend_html,
-    render_trend_markdown,
-    render_trend_text,
-    rolling_medians,
-)
 from .watch import (
     WatchBoard,
     iter_manifest_events,
@@ -112,48 +88,33 @@ __all__ = [
     "JsonlSink",
     "Log2Histogram",
     "MergedObservability",
-    "MetricTrend",
     "ObservabilityCapsule",
     "PeriodicSampler",
     "ProfileNode",
     "Profiler",
     "RingBufferSink",
     "RunManifest",
-    "RunRecord",
-    "RunStore",
     "SnapshotDiff",
-    "StoreEntry",
     "TimeSeries",
     "TraceEvent",
     "Tracepoint",
     "Tracer",
     "WatchBoard",
-    "analyse_store",
     "capsule_snapshots",
     "capture",
-    "compute_trends",
-    "default_store_root",
     "diff_snapshots",
     "iter_manifest_events",
     "iter_trace",
-    "load_operand",
     "manifest_fingerprint",
-    "manifest_sha",
     "merge_capsules",
     "merge_profile_trees",
     "profiling",
     "rank_delta",
     "read_manifest",
     "read_trace",
-    "record_id",
     "render_diff",
     "render_folded",
     "render_summary",
-    "render_trend_html",
-    "render_trend_markdown",
-    "render_trend_text",
-    "rolling_medians",
-    "snapshot_documents",
     "snapshot_rollup",
     "standard_sampler",
     "summarize",

@@ -17,6 +17,7 @@ import pytest
 from repro import PlatformConfig, Simulation
 from repro.config import GuestConfig, HostConfig
 from repro.errors import ReproError
+from repro.metrics.registry import REGISTRY, MetricsSnapshot, write_snapshots
 from repro.obs import (
     TRACER,
     JsonlSink,
@@ -434,7 +435,6 @@ class TestExport:
     [
         "diff-missing",
         "diff-list",
-        "store-add-list",
         "summarize-malformed",
         "export-malformed",
     ],
@@ -455,10 +455,6 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
             ["diff", str(listing), str(listing)],
             "not a metrics snapshot file",
         ),
-        "store-add-list": (
-            ["store", "add", str(listing), "--store", str(tmp_path / "store")],
-            "not a metrics snapshot file",
-        ),
         "summarize-malformed": (
             ["summarize", str(trace)], "malformed trace line 2"
         ),
@@ -473,6 +469,57 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not exported.exists()
+
+
+METRIC = "unit.strict_value"
+OTHER = "unit.strict_other"
+
+
+def _snapshot(label, value, metric=METRIC):
+    REGISTRY.gauge(metric)
+    snapshot = MetricsSnapshot(label)
+    snapshot.set(metric, value)
+    return snapshot
+
+
+def test_diff_strict_new_gates_appeared_metrics(tmp_path, capsys):
+    before = tmp_path / "before.json"
+    after = tmp_path / "after.json"
+    write_snapshots(before, {"unit": _snapshot("unit", 1.0)})
+    extra = _snapshot("unit", 1.0)
+    REGISTRY.gauge(OTHER)
+    extra.set(OTHER, 5.0)
+    write_snapshots(after, {"unit": extra})
+    # Appeared metrics never trip the plain threshold gate...
+    assert (
+        obs_main([
+            "diff", str(before), str(after), "--threshold", "0",
+        ])
+        == 0
+    )
+    capsys.readouterr()
+    # ... but do under --strict-new, including github annotations.
+    assert (
+        obs_main(
+            [
+                "diff", str(before), str(after),
+                "--threshold", "0",
+                "--strict-new",
+                "--format", "github",
+            ]
+        )
+        == 1
+    )
+    out = capsys.readouterr().out
+    assert "STRICT-NEW" in out
+    assert "::error" in out and OTHER in out
+
+
+def test_strict_new_requires_threshold(tmp_path):
+    before = tmp_path / "before.json"
+    write_snapshots(before, {"unit": _snapshot("unit", 1.0)})
+    with pytest.raises(SystemExit):
+        obs_main(["diff", str(before), str(before), "--strict-new"])
 
 
 # ---------------------------------------------------------------------- #

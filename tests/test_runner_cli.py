@@ -67,10 +67,11 @@ class TestRunnerCli:
         with pytest.raises(SystemExit):
             main(["--experiment", "bogus"])
         # --progress is unknown: --watch is the one live renderer of
-        # worker heartbeats.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--experiment", "table2", "--progress"])
-        assert excinfo.value.code == 2
+        # worker heartbeats. --store is unknown: there is no run ledger.
+        for flag in ("--progress", "--store"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--experiment", "table2", flag])
+            assert excinfo.value.code == 2
 
     def test_metrics_flags_require_single_experiment(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -157,38 +158,34 @@ class TestRunnerCli:
         )
         assert "attribution (by |cycle delta|):" in capsys.readouterr().out
 
+    def test_watch_renders_a_board_to_stderr(self, capsys):
+        assert main(["--experiment", "table2", "--watch"]) == 0
+        err = capsys.readouterr().err
+        assert "run table2" in err
+        assert "finished 1" in err
+
 
 class TestRunnerFailFast:
     """Unwritable output targets are rejected before any simulation."""
 
-    def test_unwritable_store_rejected_upfront(self, capsys):
+    @pytest.mark.parametrize(
+        "option",
+        ["--metrics-out", "--json", "--trace", "--flamegraph", "--manifest"],
+    )
+    def test_unwritable_metrics_out_rejected_upfront(self, option, capsys):
         assert (
             main(
                 [
                     "--experiment", "table2",
-                    "--store", "/proc/definitely/not/writable",
+                    option, "/no/such/dir/out.json",
                 ]
             )
             == 2
         )
         captured = capsys.readouterr()
-        assert "error: --store:" in captured.err
-        # The run never started: no experiment banner was printed.
-        assert "Table 2" not in captured.out
-
-    def test_unwritable_metrics_out_rejected_upfront(self, capsys):
-        assert (
-            main(
-                [
-                    "--experiment", "table2",
-                    "--metrics-out", "/no/such/dir/out.json",
-                ]
-            )
-            == 2
-        )
-        captured = capsys.readouterr()
-        assert "error: --metrics-out:" in captured.err
+        assert f"error: {option}:" in captured.err
         assert "does not exist" in captured.err
+        # The run never started: no experiment banner was printed.
         assert "Table 2" not in captured.out
 
     def test_metrics_out_directory_rejected(self, tmp_path, capsys):
@@ -202,61 +199,3 @@ class TestRunnerFailFast:
             == 2
         )
         assert "is a directory" in capsys.readouterr().err
-
-    def test_store_requires_single_experiment(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["--store", str(tmp_path / "ledger")])
-
-
-class TestRunnerStore:
-    def test_snapshotless_experiment_appends_nothing(
-        self, tmp_path, capsys
-    ):
-        root = tmp_path / "ledger"
-        assert (
-            main(["--experiment", "table2", "--store", str(root)]) == 0
-        )
-        assert "nothing appended" in capsys.readouterr().out
-        from repro.obs.store import RunStore
-
-        assert RunStore(root).entries() == []
-
-    def test_bare_store_flag_uses_the_env_default(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-ledger"))
-        assert main(["--experiment", "table2", "--store"]) == 0
-        out = capsys.readouterr().out
-        assert "nothing appended" in out and "env-ledger" in out
-
-    def test_table1_appends_a_record(self, tmp_path, capsys):
-        from repro.obs.store import RunStore
-
-        root = tmp_path / "ledger"
-        assert (
-            main(
-                [
-                    "--experiment", "table1",
-                    "--seed", "42",
-                    "--store", str(root),
-                ]
-            )
-            == 0
-        )
-        assert "appended record" in capsys.readouterr().out
-        store = RunStore(root)
-        (entry,) = store.entries()
-        assert entry.label == "table1"
-        assert entry.snapshots == ("colocated", "standalone")
-        record = store.load(entry.id)
-        assert record.config["experiment"] == "table1"
-        assert record.config["seeds"] == [42]
-        assert (
-            record.member_snapshot("colocated").get("perf.walk_cycles") > 0
-        )
-
-    def test_watch_renders_a_board_to_stderr(self, capsys):
-        assert main(["--experiment", "table2", "--watch"]) == 0
-        err = capsys.readouterr().err
-        assert "run table2" in err
-        assert "finished 1" in err
