@@ -32,10 +32,8 @@ an :class:`~repro.obs.remote.ObservabilityCapsule` around its cell and
 ships the captured trace slice, attribution tree and sampler series back
 to the parent, which merges them deterministically (submission-order,
 modelled-cycle interleave) -- the merged trace/flamegraph/metrics files
-are byte-identical at any job count. ``--manifest PATH`` additionally
-logs a structured JSONL run manifest (cell submit/start/finish/crash,
-capsule accounting, merge provenance) and ``--watch`` renders worker
-heartbeats as a live per-cell board on stderr.
+are byte-identical at any job count. A run whose worker dies exits 1
+without writing any output file.
 """
 
 from __future__ import annotations
@@ -50,15 +48,9 @@ from ..metrics.collect import snapshot_outcome
 from ..metrics.registry import REGISTRY, MetricsSnapshot, write_snapshots
 from ..metrics.report import Table
 from ..obs.profile import render_folded
-from ..obs.remote import (
-    CaptureSpec,
-    RunManifest,
-    capsule_nbytes,
-    capsule_snapshots,
-    merge_capsules,
-)
+from ..obs.remote import CaptureSpec, capsule_snapshots, merge_capsules
 from ..obs.sinks import JsonlSink
-from ..obs.watch import WatchBoard, snapshot_rollup, write_frame
+from ..obs.trace import TRACER
 from ..parallel import ExperimentCell, ParallelExecutionError, run_cells
 from ..workloads.registry import table3_rows
 from .baselines import render_baselines, run_baselines
@@ -330,108 +322,6 @@ EXPERIMENTS: Dict[str, ExperimentFn] = {
 }
 
 
-class _RunLifecycle:
-    """Routes lifecycle events to the manifest and the ``--watch`` board.
-
-    The manifest buffers worker heartbeats and flushes each cell's
-    ``start``/``finish`` rows when the parent consumes that cell's
-    result -- submission order -- so manifest row order is identical at
-    any job count (``repro.parallel`` guarantees a cell's ``finish``
-    heartbeat is relayed before its result is yielded). The ``--watch``
-    board is fed from the live events (completion order) and rendered to
-    stderr after each one; it never touches the run's outputs.
-    """
-
-    def __init__(
-        self,
-        manifest: "RunManifest | None",
-        board: "WatchBoard | None" = None,
-        watch_stream=None,
-    ) -> None:
-        self.manifest = manifest
-        self.board = board
-        self.watch_stream = watch_stream
-        isatty = getattr(watch_stream, "isatty", None)
-        self._ansi = bool(isatty()) if callable(isatty) else False
-        self._starts: Dict[Tuple[str, int], dict] = {}
-        self._finishes: Dict[Tuple[str, int], dict] = {}
-
-    def render_board(self) -> None:
-        if self.board is None or self.watch_stream is None:
-            return
-        import time
-
-        # Presentation-only wall clock for the board's elapsed column.
-        now = time.time()  # simlint: disable=wall-clock
-        write_frame(self.watch_stream, self.board.render(now), self._ansi)
-
-    def _board_apply(self, event: dict) -> None:
-        if self.board is not None:
-            self.board.apply(event)
-            self.render_board()
-
-    def handle(self, event: dict) -> None:
-        """The ``on_event`` callback handed to ``run_cells``."""
-        kind = event.get("event")
-        key = (str(event.get("experiment")), int(event.get("seed", 0)))
-        if kind == "start":
-            self._starts[key] = event
-        elif kind == "finish":
-            self._finishes[key] = event
-        elif kind == "crash" and self.manifest is not None:
-            self.manifest.event(
-                "crash",
-                experiment=key[0],
-                seed=key[1],
-                error=event.get("error"),
-            )
-        if kind != "finish":
-            # The finish heartbeat lacks the perf roll-up; the board
-            # gets the enriched row from consumed() instead.
-            self._board_apply(event)
-
-    def consumed(self, result, index: int) -> None:
-        """Flush the consumed cell's start/finish rows to the manifest."""
-        if self.manifest is None and self.board is None:
-            return
-        cell = result.cell
-        key = (cell.experiment, cell.seed)
-        start = self._starts.pop(key, {})
-        if self.manifest is not None:
-            self.manifest.event(
-                "start",
-                experiment=cell.experiment,
-                seed=cell.seed,
-                index=index,
-                pid=start.get("pid"),
-                wall_time=start.get("wall_time"),
-            )
-        finish: Dict[str, object] = {
-            "experiment": cell.experiment,
-            "seed": cell.seed,
-            "index": index,
-            "wall_seconds": result.elapsed_seconds,
-            "snapshots": sorted(result.snapshot_docs),
-        }
-        self._finishes.pop(key, None)
-        if result.capsule is not None:
-            clock = result.capsule.get("clock") or {}
-            finish["modelled_cycles"] = clock.get("cycles", 0)
-            finish["trace_events"] = len(result.capsule.get("events") or [])
-            finish["capsule_bytes"] = capsule_nbytes(result.capsule)
-        # Stream the per-cell perf roll-up (modelled cycles, accesses,
-        # fault-latency histogram) into the finish row so a live watcher
-        # can derive ops/sec and p99 from the manifest alone. The values
-        # come from the cell's snapshot documents, so the row -- and the
-        # manifest fingerprint -- stay identical at any job count.
-        perf = snapshot_rollup(result.snapshot_docs)
-        if perf:
-            finish["perf"] = perf
-        if self.manifest is not None:
-            self.manifest.event("finish", **finish)
-        self._board_apply(dict(finish, event="finish"))
-
-
 def _output_path_error(path: str) -> "str | None":
     """Why ``path`` cannot be written, or None when it can.
 
@@ -522,20 +412,6 @@ def main(argv=None) -> int:
         help="write the run's folded stacks to PATH (implies --profile; "
         "render with flamegraph.pl or speedscope)",
     )
-    parser.add_argument(
-        "--manifest",
-        metavar="PATH",
-        help="write a structured JSONL run manifest to PATH (cell "
-        "submit/start/finish/crash events, capsule accounting, merge "
-        "provenance)",
-    )
-    parser.add_argument(
-        "--watch",
-        action="store_true",
-        help="render a live per-cell board (cells queued/running/"
-        "finished, modelled cycles, ops/sec, fault p99) to stderr while "
-        "the run is in flight; outputs are unchanged",
-    )
     args = parser.parse_args(argv)
     if args.sample_interval < 0:
         parser.error("--sample-interval must be non-negative")
@@ -565,11 +441,27 @@ def main(argv=None) -> int:
         ("--json", args.json),
         ("--trace", args.trace),
         ("--flamegraph", args.flamegraph),
-        ("--manifest", args.manifest),
     ):
         error = _output_path_error(path) if path else None
         if error is not None:
             print(f"error: {option}: {error}", file=sys.stderr)
+            return 2
+    categories = [
+        token.strip()
+        for token in args.trace_categories.split(",")
+        if token.strip()
+    ]
+    # The sampler registers its ``sample.*`` tracepoints when it
+    # attaches, so ``sample`` is not in the catalog before a run.
+    known = {"sample", "*"} | {
+        name.split(".", 1)[0] for name in TRACER.catalog()
+    }
+    for category in categories:
+        if category not in known:
+            print(
+                f"error: --trace-categories: unknown category {category!r}",
+                file=sys.stderr,
+            )
             return 2
     if args.seeds is not None:
         try:
@@ -596,67 +488,19 @@ def main(argv=None) -> int:
     snapshots: Dict[str, MetricsSnapshot] = {}
     capture = None
     if args.trace or args.profile:
-        categories = [
-            token.strip()
-            for token in args.trace_categories.split(",")
-            if token.strip()
-        ]
         capture = CaptureSpec(
             trace=bool(args.trace),
             categories=tuple(categories or ["*"]),
             sample_interval_cycles=args.sample_interval,
             profile=args.profile,
         )
-    manifest = RunManifest(args.manifest) if args.manifest else None
-    board = WatchBoard() if args.watch else None
-    lifecycle = _RunLifecycle(manifest, board=board, watch_stream=sys.stderr)
-    on_event = (
-        lifecycle.handle
-        if (manifest is not None or board is not None)
-        else None
-    )
-    if board is not None:
-        # Seed the board with the run shape so queued cells show up
-        # before any worker picks them.
-        board.apply(
-            {
-                "event": "run_start",
-                "experiments": names,
-                "seeds": seeds,
-                "jobs": args.jobs,
-            }
-        )
-        for index, cell in enumerate(cells):
-            board.apply(
-                {
-                    "event": "submit",
-                    "index": index,
-                    "experiment": cell.experiment,
-                    "seed": cell.seed,
-                }
-            )
-        lifecycle.render_board()
-    if manifest is not None:
-        manifest.run_start(names, seeds, args.jobs, capture)
-        # Submit rows are written up front (not from run_cells events,
-        # whose timing differs between --jobs 1 and --jobs N) so the
-        # manifest row order is identical at any job count.
-        for index, cell in enumerate(cells):
-            manifest.event(
-                "submit",
-                index=index,
-                experiment=cell.experiment,
-                seed=cell.seed,
-            )
     # (cell label, capsule document) in submission order, for the merge.
     capsule_entries = []
-    status = 0
     try:
         # Both --jobs 1 and --jobs N flow through the same cell/capsule
         # merge code (results arrive in submission order either way), so
         # the printed report and every output file are byte-identical.
-        results = run_cells(cells, args.jobs, spec=capture, on_event=on_event)
-        for index, result in enumerate(results):
+        for result in run_cells(cells, args.jobs, spec=capture):
             name = result.cell.experiment
             seed = result.cell.seed
             print(result.text)
@@ -672,10 +516,10 @@ def main(argv=None) -> int:
                     snapshot.label = f"{label}.seed{seed}"
                 snapshots[snapshot.label] = snapshot
             capsule_entries.append((f"{name}.seed{seed}", result.capsule))
-            lifecycle.consumed(result, index)
     except ParallelExecutionError as exc:
+        # A run that lost a cell writes no output file at all.
         print(f"error: {exc}", file=sys.stderr)
-        status = 1
+        return 1
     merged = merge_capsules(capsule_entries) if capture is not None else None
     if merged is not None and merged.profile is not None:
         # Embed the merged attribution tree into the experiment's own
@@ -686,36 +530,22 @@ def main(argv=None) -> int:
                 snapshots[label].profile = merged.profile
     if args.trace:
         sink = JsonlSink(args.trace)
-        for event in merged.events if merged is not None else []:
+        for event in merged.events:
             sink.write(event)
         sink.close()
         print(
             f"wrote {sink.events_written} trace events to {args.trace} "
             "(inspect: python -m repro.obs summarize)"
         )
-    if merged is not None and capture.trace and merged.provenance:
-        for label, snapshot in sorted(capsule_snapshots(merged).items()):
-            snapshots[label] = snapshot
-    if manifest is not None:
-        if merged is not None:
-            manifest.event(
-                "merge",
-                cells=merged.provenance,
-                trace=args.trace,
-                flamegraph=args.flamegraph,
-                merged_events=len(merged.events),
-                dropped_events=merged.dropped_events,
+        if merged.dropped_events:
+            print(
+                f"warning: --trace: {merged.dropped_events} events dropped "
+                f"(each cell keeps its last {capture.buffer_events} events)",
+                file=sys.stderr,
             )
-        manifest.event("run_end", status="error" if status else "ok")
-        manifest.close()
-        print(f"wrote run manifest to {args.manifest}")
-    if board is not None:
-        board.apply(
-            {"event": "run_end", "status": "error" if status else "ok"}
-        )
-        lifecycle.render_board()
-    if status:
-        return status
+        if merged.provenance:
+            for label, snapshot in sorted(capsule_snapshots(merged).items()):
+                snapshots[label] = snapshot
     if args.metrics_out:
         if snapshots:
             write_snapshots(args.metrics_out, snapshots)

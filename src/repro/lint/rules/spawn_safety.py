@@ -5,7 +5,7 @@
 state is *per-process* -- a worker mutating a module global changes its
 own private copy, and the parent never sees it (nor do sibling
 workers). Code that accumulates results into a module-level dict/list
-therefore works in-process and silently drops data under ``--parallel``.
+therefore works in-process and silently drops data under ``--jobs``.
 
 This rule walks the call graph from every worker entry point
 (``run_cell``, plus the observability-capsule lifecycle methods that

@@ -23,12 +23,9 @@ traces:
 * :func:`diff_snapshots` / ``python -m repro.obs diff`` -- differential
   analysis of two metrics snapshots with a regression threshold;
 * :class:`CaptureSpec` / :class:`ObservabilityCapsule` /
-  :func:`merge_capsules` / :class:`RunManifest` -- distributed capture:
-  per-worker telemetry capsules for ``--jobs N`` runs, deterministic
-  cross-worker trace/profile merge, and the structured run manifest
-  (see :mod:`repro.obs.remote`);
-* :class:`WatchBoard` / ``python -m repro.obs watch`` -- the live view
-  of an in-flight run (see :mod:`repro.obs.watch`).
+  :func:`merge_capsules` -- distributed capture: per-worker telemetry
+  capsules for ``--jobs N`` runs and the deterministic cross-worker
+  trace/profile merge (see :mod:`repro.obs.remote`).
 
 Record a trace from the experiment runner and inspect it::
 
@@ -46,12 +43,9 @@ from .remote import (
     CaptureSpec,
     MergedObservability,
     ObservabilityCapsule,
-    RunManifest,
     capsule_snapshots,
-    manifest_fingerprint,
     merge_capsules,
     merge_profile_trees,
-    read_manifest,
 )
 from .histogram import Log2Histogram
 from .profile import (
@@ -64,12 +58,6 @@ from .profile import (
 )
 from .sampler import PeriodicSampler, TimeSeries, standard_sampler
 from .sinks import JsonlSink, RingBufferSink, iter_trace, read_trace
-from .watch import (
-    WatchBoard,
-    iter_manifest_events,
-    snapshot_rollup,
-    watch_manifest,
-)
 from .trace import (
     TRACEPOINT_NAME_RE,
     TRACER,
@@ -93,32 +81,25 @@ __all__ = [
     "ProfileNode",
     "Profiler",
     "RingBufferSink",
-    "RunManifest",
     "SnapshotDiff",
     "TimeSeries",
     "TraceEvent",
     "Tracepoint",
     "Tracer",
-    "WatchBoard",
     "capsule_snapshots",
     "capture",
     "diff_snapshots",
-    "iter_manifest_events",
     "iter_trace",
-    "manifest_fingerprint",
     "merge_capsules",
     "merge_profile_trees",
     "profiling",
     "rank_delta",
-    "read_manifest",
     "read_trace",
     "render_diff",
     "render_folded",
     "render_summary",
-    "snapshot_rollup",
     "standard_sampler",
     "summarize",
     "to_chrome",
     "tracepoint",
-    "watch_manifest",
 ]

@@ -8,7 +8,6 @@
     python -m repro.obs metrics
     python -m repro.obs diff baseline.json current.json --threshold 25
     python -m repro.obs diff t1.json#standalone t1.json#colocated
-    python -m repro.obs watch out.manifest.jsonl
 
 ``export`` writes a Chrome ``trace_event`` JSON loadable in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``. ``catalog`` imports
@@ -21,8 +20,7 @@ than that percentage -- the CI regression gate (``--strict-new``
 additionally gates on metrics that appeared or vanished). ``diff
 --format github`` additionally prints one ``::error`` workflow-command
 annotation per threshold breach, so the gate marks up PRs instead of
-only failing. ``watch`` tails a run manifest as a live terminal board
-(:mod:`repro.obs.watch`).
+only failing.
 
 Exit status: 0 on success, 1 when a ``--threshold`` gate fails, 2 on a
 usage error or bad input (missing file, malformed snapshot or trace),
@@ -181,18 +179,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_watch(args: argparse.Namespace) -> int:
-    from .watch import watch_manifest
-
-    return watch_manifest(
-        args.manifest,
-        sys.stdout,
-        follow=not args.no_follow,
-        interval=args.interval,
-        timeout=args.timeout,
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -276,33 +262,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "one ::error workflow-command annotation per threshold breach",
     )
     p_diff.set_defaults(func=_cmd_diff)
-
-    p_watch = sub.add_parser(
-        "watch", help="live terminal board over a run manifest"
-    )
-    p_watch.add_argument(
-        "manifest", help="run manifest JSONL (runner --manifest output)"
-    )
-    p_watch.add_argument(
-        "--interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="poll interval while following (default 0.5)",
-    )
-    p_watch.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="stop following after this many seconds",
-    )
-    p_watch.add_argument(
-        "--no-follow",
-        action="store_true",
-        help="render the manifest as-is and exit (no tailing)",
-    )
-    p_watch.set_defaults(func=_cmd_watch)
 
     args = parser.parse_args(argv)
     if getattr(args, "strict_new", False) and args.threshold is None:

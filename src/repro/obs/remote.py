@@ -17,14 +17,10 @@ spawn workers, the parent went blind. This module closes that gap:
   all cells interleaved by modelled cycle (submission order breaks
   ties, so the merge is deterministic at any job count), profile trees
   merged path-wise, sampler series kept per cell, plus per-cell
-  provenance (event/byte counts) for the run manifest;
+  provenance (event/drop/byte counts);
 * :func:`capsule_snapshots` -- per-cell metrics snapshots tagged
   ``cell.<label>`` (plus a ``fleet`` aggregate) so ``python -m
-  repro.obs diff`` can compare any worker against any other;
-* :class:`RunManifest` -- a structured JSONL event log of cell
-  submit/start/finish/crash plus merge provenance, with
-  :func:`manifest_fingerprint` masking the wall-clock/pid fields so
-  determinism checks can compare manifests across runs.
+  repro.obs diff`` can compare any worker against any other.
 
 Merged traces tag every event with a ``worker`` argument (the cell's
 submission index) and prepend one ``capsule.track`` event per cell;
@@ -33,16 +29,14 @@ the Chrome exporter turns these into per-worker Perfetto tracks
 
 Capsules capture into a bounded ring (:attr:`CaptureSpec.buffer_events`
 events per worker, oldest dropped first); drops are counted in the
-capsule and surfaced in the manifest, never silent.
+capsule, reported by the runner's ``--trace`` warning and carried by
+the ``obs.capsule.dropped_events`` gauges, never silent.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
@@ -54,17 +48,6 @@ from .trace import TRACER, TraceEvent
 #: Schema stamped into capsule documents (bump on incompatible change).
 CAPSULE_SCHEMA_VERSION = 1
 CAPSULE_KIND = "repro.obs.capsule"
-
-#: Schema stamped into every run-manifest event line.
-MANIFEST_SCHEMA_VERSION = 1
-MANIFEST_KIND = "repro.obs.manifest"
-
-#: Manifest fields whose values legitimately differ between two runs of
-#: the same cells: wall clock, process ids, and the ``jobs`` scheduling
-#: parameter (which changes how cells were executed, never what they
-#: computed). Everything else must be byte-identical across repeats and
-#: job counts; :func:`manifest_fingerprint` masks exactly these.
-VOLATILE_MANIFEST_KEYS = frozenset({"pid", "wall_time", "wall_seconds", "jobs"})
 
 #: Sample points are ``[turn, cycles, value]`` triples.
 SeriesPoint = List[Union[int, float]]
@@ -391,120 +374,3 @@ def capsule_snapshots(merged: MergedObservability):
         )
     snapshots["fleet"] = fleet
     return snapshots
-
-
-# ---------------------------------------------------------------------- #
-# Run manifest
-# ---------------------------------------------------------------------- #
-
-class RunManifest:
-    """Structured JSONL event log of one runner invocation.
-
-    One JSON object per line, ``sort_keys`` throughout. Event order is
-    deterministic by construction: ``run_start``, every cell's
-    ``submit`` in submission order, then per consumed cell (submission
-    order again) its ``start`` and ``finish``, a ``merge`` provenance
-    event when capsules were merged, and ``run_end``. Only the
-    :data:`VOLATILE_MANIFEST_KEYS` fields (wall clock, pids) differ
-    between two runs of the same cells -- compare manifests with
-    :func:`manifest_fingerprint`.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = str(path)
-        self._handle = open(path, "w", encoding="utf-8")
-        self.events_written = 0
-
-    def event(self, event_type: str, **fields: object) -> None:
-        payload: Dict[str, object] = {"event": event_type}
-        payload.update(fields)
-        json.dump(payload, self._handle, sort_keys=True)
-        self._handle.write("\n")
-        self._handle.flush()
-        self.events_written += 1
-
-    def run_start(
-        self,
-        experiments: Sequence[str],
-        seeds: Sequence[int],
-        jobs: int,
-        capture: Optional[CaptureSpec],
-    ) -> None:
-        self.event(
-            "run_start",
-            kind=MANIFEST_KIND,
-            schema_version=MANIFEST_SCHEMA_VERSION,
-            experiments=list(experiments),
-            seeds=list(seeds),
-            jobs=jobs,
-            capture=capture.to_dict() if capture is not None else None,
-        )
-
-    def close(self) -> None:
-        self._handle.close()
-
-
-def read_manifest(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Load a manifest back into its event dicts."""
-    events = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError as exc:
-                raise ReproError(
-                    f"{path}: malformed manifest line {lineno}: {exc}"
-                ) from exc
-    return events
-
-
-def manifest_fingerprint(path: Union[str, Path]) -> str:
-    """The manifest's deterministic content, volatile fields masked.
-
-    Two runs of the same cells -- at any job count -- must produce equal
-    fingerprints; only wall-clock and pid fields may differ byte-wise.
-    """
-    masked = []
-    for event in read_manifest(path):
-        masked.append(
-            {
-                key: value
-                for key, value in sorted(event.items())
-                if key not in VOLATILE_MANIFEST_KEYS
-            }
-        )
-    return json.dumps(masked, sort_keys=True)
-
-
-# ---------------------------------------------------------------------- #
-# Worker heartbeats
-# ---------------------------------------------------------------------- #
-
-def heartbeat_start(experiment: str, seed: int) -> Dict[str, object]:
-    """The ``start`` heartbeat a worker emits as it picks up a cell."""
-    return {
-        "event": "start",
-        "experiment": experiment,
-        "seed": seed,
-        "pid": os.getpid(),
-        # Wall time is presentation metadata for the live view and the
-        # manifest, never model state, and is masked by
-        # manifest_fingerprint().
-        "wall_time": time.time(),  # simlint: disable=wall-clock
-    }
-
-
-def heartbeat_finish(
-    experiment: str, seed: int, elapsed_seconds: float
-) -> Dict[str, object]:
-    """The ``finish`` heartbeat a worker emits after completing a cell."""
-    return {
-        "event": "finish",
-        "experiment": experiment,
-        "seed": seed,
-        "pid": os.getpid(),
-        "wall_seconds": elapsed_seconds,
-    }

@@ -471,6 +471,13 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert not exported.exists()
 
 
+def test_cli_watch_verb_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        obs_main(["watch", "m.jsonl", "--no-follow"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'watch'" in capsys.readouterr().err
+
+
 METRIC = "unit.strict_value"
 OTHER = "unit.strict_other"
 

@@ -2,9 +2,8 @@
 
 Covers the capsule lifecycle (install/finalize/abort around a real
 simulation), the deterministic cross-worker mergers (modelled-cycle
-interleave, path-wise profile merge, per-cell series), the run manifest
-(schema, fingerprint masking), the ``--format github`` perf-gate
-annotations, and the headline acceptance criterion: the runner's merged
+interleave, path-wise profile merge, per-cell series), the ``--format
+github`` perf-gate annotations, and the headline acceptance criterion: the runner's merged
 trace/flamegraph/metrics files are byte-identical at any job count and
 across repeated runs.
 """
@@ -26,12 +25,9 @@ from repro.obs.remote import (
     CAPSULE_KIND,
     CaptureSpec,
     ObservabilityCapsule,
-    RunManifest,
     capsule_snapshots,
-    manifest_fingerprint,
     merge_capsules,
     merge_profile_trees,
-    read_manifest,
     series_from_events,
 )
 from repro.obs.trace import TraceEvent
@@ -355,56 +351,6 @@ class TestCapsuleSnapshots:
 
 
 # ---------------------------------------------------------------------- #
-# Run manifest
-# ---------------------------------------------------------------------- #
-
-class TestRunManifest:
-    def test_event_log_round_trip(self, tmp_path):
-        path = tmp_path / "run.json"
-        manifest = RunManifest(path)
-        manifest.run_start(["table1"], [0, 1], 4, CaptureSpec(trace=True))
-        manifest.event("submit", index=0, experiment="table1", seed=0)
-        manifest.event("run_end", status="ok")
-        manifest.close()
-        events = read_manifest(path)
-        assert [event["event"] for event in events] == [
-            "run_start",
-            "submit",
-            "run_end",
-        ]
-        assert events[0]["kind"] == "repro.obs.manifest"
-        assert events[0]["capture"]["trace"] is True
-
-    def test_malformed_manifest_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"event": "run_start"}\nnot json\n')
-        with pytest.raises(ReproError, match="line 2"):
-            read_manifest(path)
-
-    def test_fingerprint_masks_volatile_fields_only(self, tmp_path):
-        docs = []
-        for jobs, pid, wall in ((1, 100, 5.0), (4, 999, 9.0)):
-            path = tmp_path / f"run{jobs}.json"
-            manifest = RunManifest(path)
-            manifest.run_start(["x"], [0], jobs, None)
-            manifest.event("start", experiment="x", seed=0, pid=pid,
-                           wall_time=wall)
-            manifest.event("finish", experiment="x", seed=0,
-                           wall_seconds=wall, modelled_cycles=123)
-            manifest.close()
-            docs.append(manifest_fingerprint(path))
-        assert docs[0] == docs[1]
-        # ... but genuinely different content must differ.
-        other = tmp_path / "other.json"
-        manifest = RunManifest(other)
-        manifest.run_start(["x"], [0], 1, None)
-        manifest.event("finish", experiment="x", seed=0,
-                       wall_seconds=5.0, modelled_cycles=124)
-        manifest.close()
-        assert manifest_fingerprint(other) != docs[0]
-
-
-# ---------------------------------------------------------------------- #
 # obs diff --format github (perf-gate annotations)
 # ---------------------------------------------------------------------- #
 
@@ -477,7 +423,6 @@ class TestRunnerMergeDeterminism:
         "--profile",
         "--metrics-out", "merged.metrics.json",
         "--flamegraph", "merged.folded",
-        "--manifest", "run.json",
     ]
 
     def _run(self, tmp_path, monkeypatch, tag, jobs):
@@ -493,8 +438,7 @@ class TestRunnerMergeDeterminism:
         self, tmp_path, monkeypatch, capsys
     ):
         """The acceptance criterion: merged trace/flamegraph/metrics are
-        byte-identical across job counts and across repeated runs, and
-        the manifests agree modulo wall clock/pids (fingerprint)."""
+        byte-identical across job counts and across repeated runs."""
         runs = {
             "serial": self._run(tmp_path, monkeypatch, "serial", jobs=1),
             "par_a": self._run(tmp_path, monkeypatch, "par_a", jobs=4),
@@ -509,13 +453,6 @@ class TestRunnerMergeDeterminism:
                 assert (runs[tag] / name).read_bytes() == expected, (
                     f"{name} differs between jobs 1 and jobs 4 ({tag})"
                 )
-        fingerprints = {
-            tag: manifest_fingerprint(workdir / "run.json")
-            for tag, workdir in runs.items()
-        }
-        assert fingerprints["serial"] == fingerprints["par_a"]
-        assert fingerprints["par_a"] == fingerprints["par_b"]
-
         # The merged trace carries one labelled track per cell and the
         # metrics family carries per-cell + fleet snapshots that feed
         # straight into the diff CLI (cross-worker comparison).
@@ -545,20 +482,3 @@ class TestRunnerMergeDeterminism:
             == 0
         )
         assert "diff: cell.table1.seed0" in capsys.readouterr().out
-
-        manifest_events = read_manifest(reference / "run.json")
-        kinds = [event["event"] for event in manifest_events]
-        assert kinds == [
-            "run_start",
-            "submit", "submit",
-            "start", "finish",
-            "start", "finish",
-            "merge",
-            "run_end",
-        ]
-        merge_event = manifest_events[-2]
-        assert [row["cell"] for row in merge_event["cells"]] == [
-            "table1.seed0",
-            "table1.seed1",
-        ]
-        assert merge_event["dropped_events"] == 0

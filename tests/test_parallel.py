@@ -24,32 +24,20 @@ from repro.parallel import (
 )
 
 
-def _crash_worker(experiment, seed, spec=None, heartbeat=None):
+def _crash_worker(experiment, seed, spec=None):
     """A worker that dies without returning (picklable: module level)."""
     os._exit(13)
 
 
-def _slow_first_worker(experiment, seed):
-    """Finishes out of submission order: cell with seed 0 is slowest.
-
-    Returns a legacy four-element output (no capsule) on purpose: custom
-    workers predating distributed capture must keep working.
-    """
+def _slow_first_worker(experiment, seed, spec=None):
+    """Finishes out of submission order: cell with seed 0 is slowest."""
     time.sleep(0.3 if seed == 0 else 0.0)
-    return f"text for seed {seed}", {"seed": seed}, {}, 0.0
+    return f"text for seed {seed}", {"seed": seed}, {}, 0.0, None
 
 
-def _capsule_echo_worker(experiment, seed, spec, heartbeat):
-    """Echoes the capture spec back as its 'capsule' and heartbeats."""
-    if heartbeat is not None:
-        heartbeat.put(
-            {"event": "start", "experiment": experiment, "seed": seed}
-        )
+def _capsule_echo_worker(experiment, seed, spec=None):
+    """Echoes the capture spec back as its 'capsule'."""
     doc = {"seed": seed, "spec": spec.to_dict() if spec else None}
-    if heartbeat is not None:
-        heartbeat.put(
-            {"event": "finish", "experiment": experiment, "seed": seed}
-        )
     return f"text {seed}", {}, {}, 0.0, doc
 
 
@@ -64,9 +52,9 @@ class TestRunCells:
     def test_serial_runs_in_process(self):
         calls = []
 
-        def worker(experiment, seed):
+        def worker(experiment, seed, spec=None):
             calls.append((experiment, seed, os.getpid()))
-            return "text", {}, {}, 0.0
+            return "text", {}, {}, 0.0, None
 
         cells = [ExperimentCell("a", 0), ExperimentCell("b", 1)]
         results = list(run_cells(cells, 1, worker=worker))
@@ -86,24 +74,6 @@ class TestRunCells:
         with pytest.raises(ParallelExecutionError, match=r"table1\[seed=0\]"):
             list(run_cells(cells, 2, worker=_crash_worker))
 
-    def test_worker_crash_emits_crash_event(self):
-        cells = [ExperimentCell("table1", 0)]
-        events = []
-        with pytest.raises(ParallelExecutionError):
-            list(
-                run_cells(
-                    cells, 2, worker=_crash_worker, on_event=events.append
-                )
-            )
-        kinds = [event["event"] for event in events]
-        assert kinds[0] == "submit"
-        assert "crash" in kinds
-
-    def test_legacy_four_element_output_has_no_capsule(self):
-        cells = [ExperimentCell("x", 0)]
-        (result,) = run_cells(cells, 1, worker=_slow_first_worker)
-        assert result.capsule is None
-
     def test_spec_and_capsule_round_trip_parallel(self):
         from repro.obs.remote import CaptureSpec
 
@@ -116,39 +86,6 @@ class TestRunCells:
         assert all(
             r.capsule["spec"] == spec.to_dict() for r in results
         )
-
-    def test_heartbeats_relayed_and_finish_precedes_yield(self):
-        """A cell's finish heartbeat must be delivered via on_event
-        before its result is yielded (manifest-ordering contract), and
-        submit events must arrive in submission order -- at any job
-        count."""
-        from repro.obs.remote import CaptureSpec
-
-        for jobs in (1, 2):
-            events = []
-            cells = [ExperimentCell("x", 0), ExperimentCell("x", 1)]
-            results = run_cells(
-                cells,
-                jobs,
-                worker=_capsule_echo_worker,
-                spec=CaptureSpec(),
-                on_event=events.append,
-            )
-            for result in results:
-                seed = result.cell.seed
-                assert {
-                    "event": "finish",
-                    "experiment": "x",
-                    "seed": seed,
-                } in events
-            submits = [
-                event["seed"]
-                for event in events
-                if event["event"] == "submit"
-            ]
-            assert submits == [0, 1]
-            starts = [e for e in events if e["event"] == "start"]
-            assert len(starts) == 2
 
 
 def _strip_elapsed(text):

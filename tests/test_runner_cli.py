@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import EXPERIMENTS, main
 from repro.metrics.counters import percentile
+from repro.parallel import ParallelExecutionError, run_cells
 
 
 class TestPercentile:
@@ -66,9 +68,9 @@ class TestRunnerCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["--experiment", "bogus"])
-        # --progress is unknown: --watch is the one live renderer of
-        # worker heartbeats. --store is unknown: there is no run ledger.
-        for flag in ("--progress", "--store"):
+        # Removed options are unknown, never silently ignored: there is
+        # no progress renderer, run ledger, live board or run manifest.
+        for flag in ("--progress", "--store", "--watch", "--manifest"):
             with pytest.raises(SystemExit) as excinfo:
                 main(["--experiment", "table2", flag])
             assert excinfo.value.code == 2
@@ -158,11 +160,50 @@ class TestRunnerCli:
         )
         assert "attribution (by |cycle delta|):" in capsys.readouterr().out
 
-    def test_watch_renders_a_board_to_stderr(self, capsys):
-        assert main(["--experiment", "table2", "--watch"]) == 0
-        err = capsys.readouterr().err
-        assert "run table2" in err
-        assert "finished 1" in err
+    def test_crashed_run_writes_no_output_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def one_cell_then_crash(cells, jobs, **options):
+            yield from run_cells(cells, jobs, spec=options["spec"])
+            raise ParallelExecutionError(
+                "worker process died while running table2[seed=1]"
+            )
+
+        monkeypatch.setattr(runner, "run_cells", one_cell_then_crash)
+        trace = tmp_path / "t.jsonl"
+        out = tmp_path / "r.json"
+        assert (
+            main(
+                [
+                    "--experiment", "table2",
+                    "--trace", str(trace),
+                    "--json", str(out),
+                ]
+            )
+            == 1
+        )
+        assert "error: worker process died" in capsys.readouterr().err
+        assert not trace.exists()
+        assert not out.exists()
+
+    def test_trace_drops_are_reported(self, tmp_path, monkeypatch, capsys):
+        def dropping_cells(cells, jobs, **options):
+            for result in run_cells(cells, jobs, spec=options["spec"]):
+                result.capsule["dropped_events"] = 5
+                yield result
+
+        monkeypatch.setattr(runner, "run_cells", dropping_cells)
+        trace = tmp_path / "t.jsonl"
+        assert main(["--experiment", "table2", "--trace", str(trace)]) == 0
+        warnings = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert warnings == [
+            "warning: --trace: 5 events dropped (each cell keeps its "
+            "last 1048576 events)"
+        ]
 
 
 class TestRunnerFailFast:
@@ -170,7 +211,7 @@ class TestRunnerFailFast:
 
     @pytest.mark.parametrize(
         "option",
-        ["--metrics-out", "--json", "--trace", "--flamegraph", "--manifest"],
+        ["--metrics-out", "--json", "--trace", "--flamegraph"],
     )
     def test_unwritable_metrics_out_rejected_upfront(self, option, capsys):
         assert (
@@ -199,3 +240,22 @@ class TestRunnerFailFast:
             == 2
         )
         assert "is a directory" in capsys.readouterr().err
+
+    def test_unknown_trace_category_rejected_upfront(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert (
+            main(
+                [
+                    "--experiment", "table2",
+                    "--trace", str(trace),
+                    "--trace-categories", "sample,reservations",
+                ]
+            )
+            == 2
+        )
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --trace-categories: unknown category 'reservations'\n"
+        )
+        assert "Table 2" not in captured.out
+        assert not trace.exists()
