@@ -78,7 +78,7 @@ GUEST_PT = MirrorContract(
         "shootdown (_notify_unmap fan-out)"
     ),
     mutators=CallPattern(
-        methods=frozenset({"unmap", "unmap_huge", "update"}),
+        methods=frozenset({"unmap", "unmap_huge", "unmap_range", "update"}),
         receiver_has=frozenset({"page", "table"}),
     ),
     invalidators=(

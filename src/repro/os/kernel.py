@@ -27,7 +27,7 @@ from ..mem.physical import FrameState, PhysicalMemory
 from ..obs.histogram import Log2Histogram
 from ..obs.profile import PROFILER
 from ..obs.trace import tracepoint
-from ..pagetable.pte import PteFlags, pte_flags, pte_frame
+from ..pagetable.pte import COW, HUGE, PteFlags, pte_frame
 from ..sanitizer import FrameSanitizer, sanitizer_enabled
 from .fault import FaultKind, FaultOutcome, default_alloc
 from .process import Process
@@ -188,15 +188,27 @@ class GuestKernel:
     def munmap(self, process: Process, start_vpn: int, npages: int) -> int:
         """Unmap a virtual range, freeing any mapped physical pages.
 
-        Returns the number of physical pages released.
+        Returns the number of physical pages released. Each removed VMA
+        fragment is torn down in one range walk of the page table that
+        visits only present entries (Linux's ``zap_pte_range``); pages are
+        freed in vpn order, each before the walk moves on, so frames reach
+        the allocators in the same order as :meth:`_free_page` page by
+        page.
         """
         removed = process.address_space.munmap(start_vpn, npages)
+        page_table = process.page_table
         released = 0
         for fragment in removed:
-            for vpn in fragment.pages():
-                if process.page_table.is_mapped(vpn):
-                    self._free_page(process, vpn)
-                    released += 1
+            for vpn, pte in page_table.unmap_range(
+                fragment.start_vpn, fragment.end_vpn
+            ):
+                if pte & HUGE:
+                    # Partial free of a THP range: split it first, as
+                    # Linux does; the range walk resumes at this page.
+                    self.split_huge(process, vpn)
+                    continue
+                self._release_page(process, vpn, pte_frame(pte))
+                released += 1
         return released
 
     # ------------------------------------------------------------------ #
@@ -246,7 +258,7 @@ class GuestKernel:
             )
         pte = process.page_table.lookup(vpn)
         if pte is not None:
-            if write and pte_flags(pte) & PteFlags.COW:
+            if write and pte & COW:
                 return self._break_cow(process, vpn, pte)
             self.stats.spurious_faults += 1
             return FaultOutcome(pte_frame(pte), 0, FaultKind.SPURIOUS)
@@ -446,10 +458,14 @@ class GuestKernel:
 
     def _free_page(self, process: Process, vpn: int) -> None:
         pte = process.page_table.lookup(vpn)
-        if pte is not None and pte_flags(pte) & PteFlags.HUGE:
+        if pte is not None and pte & HUGE:
             # Partial free of a THP range: split it first, as Linux does.
             self.split_huge(process, vpn)
-        frame = process.page_table.unmap(vpn)
+        self._release_page(process, vpn, process.page_table.unmap(vpn))
+
+    def _release_page(self, process: Process, vpn: int, frame: int) -> None:
+        """Shoot down ``vpn``, just unmapped, and drop a reference to
+        ``frame``; the last reference frees it."""
         self._notify_unmap(process.pid, vpn)
         refs = self._refcount.get(frame, 1)
         if refs > 1:

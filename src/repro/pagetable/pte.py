@@ -28,6 +28,13 @@ class PteFlags(enum.IntFlag):
     COW = 1 << 9
 
 
+#: Plain-int masks of the flags the fault and walk paths test. ``pte &
+#: PRESENT`` is one integer AND; the same test against a ``PteFlags``
+#: member runs ``Flag.__and__`` and builds an enum member on every call.
+PRESENT = int(PteFlags.PRESENT)
+HUGE = int(PteFlags.HUGE)
+COW = int(PteFlags.COW)
+
 #: Mask selecting the flag bits of an encoded PTE.
 FLAGS_MASK = (1 << PAGE_SHIFT) - 1
 
@@ -54,7 +61,7 @@ def pte_flags(pte: int) -> PteFlags:
 
 def pte_present(pte: int) -> bool:
     """True if ``pte`` has the PRESENT bit set."""
-    return bool(pte & PteFlags.PRESENT)
+    return (pte & PRESENT) != 0
 
 
 def pte_set_flags(pte: int, flags: PteFlags) -> int:

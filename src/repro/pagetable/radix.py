@@ -14,12 +14,21 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from ..errors import PageTableError
 from ..units import (
     BITS_PER_LEVEL,
+    PT_INDEX_MASK,
     PT_LEVELS,
     PTES_PER_NODE,
     pt_indices,
     pt_indices_for,
 )
-from .pte import PTE_EMPTY, PteFlags, make_pte, pte_frame, pte_present
+from .pte import (
+    HUGE,
+    PRESENT,
+    PTE_EMPTY,
+    PteFlags,
+    make_pte,
+    pte_frame,
+    pte_present,
+)
 
 
 class PageTableNode:
@@ -44,8 +53,9 @@ class PageTableNode:
 
     @property
     def live_slots(self) -> int:
-        """Number of populated slots in this node."""
-        return len(self.entries) if self.is_leaf else len(self.children)
+        """Number of populated slots in this node. A level-2 node can hold
+        huge entries beside its child nodes; both keep it alive."""
+        return len(self.entries) + len(self.children)
 
 
 class PageTable:
@@ -115,7 +125,7 @@ class PageTable:
         leaf_index = indices[-1]
         if pte_present(node.entries.get(leaf_index, PTE_EMPTY)):
             raise PageTableError(f"vpn {vpn:#x} already mapped")
-        node.entries[leaf_index] = make_pte(pfn, flags | PteFlags.PRESENT)
+        node.entries[leaf_index] = make_pte(pfn, int(flags) | PRESENT)
         self.mapped_pages += 1
         san = self.sanitizer
         if san is not None:
@@ -144,9 +154,7 @@ class PageTable:
             node.entries.get(huge_index, PTE_EMPTY)
         ):
             raise PageTableError(f"vpn {vpn:#x} already mapped at level 2")
-        node.entries[huge_index] = make_pte(
-            pfn, PteFlags.PRESENT | PteFlags.HUGE
-        )
+        node.entries[huge_index] = make_pte(pfn, PRESENT | HUGE)
         self.mapped_pages += self.HUGE_PAGES
         san = self.sanitizer
         if san is not None:
@@ -166,7 +174,7 @@ class PageTable:
             node = child
         huge_index = indices[-2]
         pte = node.entries.pop(huge_index, PTE_EMPTY)
-        if not pte_present(pte) or not pte & PteFlags.HUGE:
+        if not pte_present(pte) or not pte & HUGE:
             raise PageTableError(f"vpn {vpn:#x} has no huge mapping")
         self.mapped_pages -= self.HUGE_PAGES
         san = self.sanitizer
@@ -174,28 +182,8 @@ class PageTable:
             base_frame = pte_frame(pte)
             for offset in range(self.HUGE_PAGES):
                 san.on_unmap(self.owner_pid, vpn + offset, base_frame + offset)
-        for parent, index in reversed(path):
-            child = parent.children[index]
-            if child.live_slots:
-                break
-            del parent.children[index]
-            self._release_frame(child.frame)
-            self.node_count -= 1
+        self._prune(path)
         return pte_frame(pte)
-
-    def huge_entry_for(self, vpn: int) -> Optional[int]:
-        """Return the huge PTE covering ``vpn``, or ``None``."""
-        indices = self._indices(vpn)
-        node = self.root
-        for index in indices[:-2]:
-            child = node.children.get(index)
-            if child is None:
-                return None
-            node = child
-        pte = node.entries.get(indices[-2], PTE_EMPTY)
-        if pte_present(pte) and pte & PteFlags.HUGE:
-            return pte
-        return None
 
     def unmap(self, vpn: int) -> int:
         """Remove the translation for ``vpn``; returns the old frame.
@@ -220,7 +208,77 @@ class PageTable:
         san = self.sanitizer
         if san is not None:
             san.on_unmap(self.owner_pid, vpn, pte_frame(pte))
-        # Prune now-empty nodes bottom-up.
+        self._prune(path)
+        return pte_frame(pte)
+
+    def unmap_range(
+        self, start_vpn: int, end_vpn: int
+    ) -> Iterator[Tuple[int, int]]:
+        """Remove every present translation in ``[start_vpn, end_vpn)``.
+
+        Linux's ``zap_pte_range``: one descent per leaf node, then only
+        that leaf's slots in the range; an absent subtree is skipped
+        whole. Yields ``(vpn, pte)`` in vpn order, each right after its
+        entry is removed and any node it emptied is released bottom-up --
+        the state :meth:`unmap` leaves -- so a caller that frees each page
+        before resuming frees frames in :meth:`unmap`'s per-page order.
+
+        A huge mapping met in the range is yielded still mapped, as the
+        synthesized PTE :meth:`lookup` returns (HUGE set). The caller must
+        split it into 4KB mappings before resuming; the walk then goes on
+        from that page.
+        """
+        vpn = start_vpn
+        split_vpn = None
+        while vpn < end_vpn:
+            path: List[Tuple[PageTableNode, int]] = []
+            node = self.root
+            level = self.levels
+            while level > 1:
+                shift = (level - 1) * BITS_PER_LEVEL
+                index = (vpn >> shift) & PT_INDEX_MASK
+                if level == 2:
+                    huge = node.entries.get(index)
+                    if huge is not None and huge & PRESENT:
+                        if vpn == split_vpn:
+                            raise PageTableError(
+                                f"huge mapping at vpn {vpn:#x} was not split"
+                            )
+                        split_vpn = vpn
+                        yield vpn, make_pte(
+                            pte_frame(huge) + (vpn & PT_INDEX_MASK),
+                            PRESENT | HUGE,
+                        )
+                        break
+                child = node.children.get(index)
+                if child is None:
+                    vpn = ((vpn >> shift) + 1) << shift
+                    break
+                path.append((node, index))
+                node = child
+                level -= 1
+            else:
+                stop = min(end_vpn, (vpn | PT_INDEX_MASK) + 1)
+                entries = node.entries
+                san = self.sanitizer
+                for page in range(vpn, stop):
+                    slot = page & PT_INDEX_MASK
+                    pte = entries.get(slot)
+                    if pte is None or not pte & PRESENT:
+                        continue
+                    del entries[slot]
+                    self.mapped_pages -= 1
+                    if san is not None:
+                        san.on_unmap(self.owner_pid, page, pte_frame(pte))
+                    if not entries:
+                        self._prune(path)
+                    yield page, pte
+                    if not entries:
+                        break
+                vpn = stop
+
+    def _prune(self, path: List[Tuple[PageTableNode, int]]) -> None:
+        """Free the nodes along ``path`` that are now empty, bottom-up."""
         for parent, index in reversed(path):
             child = parent.children[index]
             if child.live_slots:
@@ -228,7 +286,6 @@ class PageTable:
             del parent.children[index]
             self._release_frame(child.frame)
             self.node_count -= 1
-        return pte_frame(pte)
 
     def update(self, vpn: int, pfn: int, flags: PteFlags) -> None:
         """Replace the translation for an already-mapped ``vpn``."""
@@ -236,7 +293,7 @@ class PageTable:
         if node is None or not pte_present(node.entries.get(leaf_index, 0)):
             raise PageTableError(f"vpn {vpn:#x} not mapped")
         old_pte = node.entries[leaf_index]
-        node.entries[leaf_index] = make_pte(pfn, flags | PteFlags.PRESENT)
+        node.entries[leaf_index] = make_pte(pfn, int(flags) | PRESENT)
         san = self.sanitizer
         if san is not None:
             old_frame = pte_frame(old_pte)
@@ -253,20 +310,28 @@ class PageTable:
 
         For a page inside a huge mapping, returns a synthesized 4KB-style
         PTE pointing at the page's frame within the huge frame range, with
-        the HUGE bit still set so callers can recognise it.
+        the HUGE bit still set so callers can recognise it. One descent:
+        the level-2 huge entry is checked on the way down, as a hardware
+        walk does.
         """
-        node, leaf_index = self._leaf_for(vpn)
-        if node is not None:
-            pte = node.entries.get(leaf_index, PTE_EMPTY)
-            if pte_present(pte):
-                return pte
-        huge = self.huge_entry_for(vpn)
-        if huge is not None:
-            offset = vpn % self.HUGE_PAGES
-            return make_pte(
-                pte_frame(huge) + offset, PteFlags.PRESENT | PteFlags.HUGE
-            )
-        return None
+        node = self.root
+        level = self.levels
+        while level > 1:
+            index = (vpn >> ((level - 1) * BITS_PER_LEVEL)) & PT_INDEX_MASK
+            if level == 2:
+                huge = node.entries.get(index)
+                if huge is not None and huge & PRESENT:
+                    return make_pte(
+                        pte_frame(huge) + (vpn & PT_INDEX_MASK), PRESENT | HUGE
+                    )
+            node = node.children.get(index)
+            if node is None:
+                return None
+            level -= 1
+        pte = node.entries.get(vpn & PT_INDEX_MASK)
+        if pte is None or not pte & PRESENT:
+            return None
+        return pte
 
     def translate(self, vpn: int) -> Optional[int]:
         """Return the physical frame for ``vpn`` or ``None`` if unmapped."""
@@ -309,8 +374,7 @@ class PageTable:
                     # frame range.
                     offset = vpn % self.HUGE_PAGES
                     return path, make_pte(
-                        pte_frame(huge) + offset,
-                        PteFlags.PRESENT | PteFlags.HUGE,
+                        pte_frame(huge) + offset, PRESENT | HUGE
                     )
             child = node.children.get(indices[depth])
             if child is None:
@@ -360,7 +424,7 @@ class PageTable:
                 base_frame = pte_frame(pte)
                 for offset in range(self.HUGE_PAGES):
                     yield base_vpn + offset, make_pte(
-                        base_frame + offset, PteFlags.PRESENT | PteFlags.HUGE
+                        base_frame + offset, PRESENT | HUGE
                     )
         for index in sorted(node.children):
             child = node.children[index]

@@ -5,7 +5,8 @@ memory access per level. Each access goes to the *physical address of the
 PTE slot* and is served by the CPU cache hierarchy; page-walk caches (PWCs)
 let the walker skip upper levels it has translated recently, exactly as on
 real x86 hardware (§2.5). The nested 2D walker in :mod:`repro.virt.nested`
-composes two of these walks.
+applies the same rules to both of its dimensions in one fused loop; this
+walker stays as their readable 1D reference.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ class PageWalker:
         self.stream = stream
         self.walks = 0
         self.total_cycles = 0
-        #: Profiler attribution prefix for this walker's accesses; the
-        #: nested walker rebinds it per 2D-walk step (``("walk", "hpt",
-        #: "gl3")`` etc.) so each host access lands in the right cell of
-        #: the guest-level x host-level attribution matrix.
+        #: Profiler attribution prefix for this walker's accesses. A 2D
+        #: walk composed from this walker rebinds it per step (``("walk",
+        #: "hpt", "gl3")`` etc.) so each host access lands in the right
+        #: cell of the guest-level x host-level attribution matrix.
         self.profile_context: Tuple[str, ...] = ("walk", stream)
         #: Optional cache hierarchy behind ``memory_access``; when set,
         #: profiled steps are additionally keyed by serving cache level.

@@ -30,7 +30,9 @@ and returns the captured telemetry as the fifth element of
 A worker that dies outright (hard exit, OOM kill) surfaces as
 :class:`ParallelExecutionError` naming the cell that was in flight --
 never as a hang. Ordinary exceptions raised by experiment code pickle
-through the pool and re-raise in the parent unchanged.
+through the pool and re-raise in the parent unchanged; the cells still
+waiting behind a failed one are cancelled, except the few the pool has
+already queued for its workers.
 """
 
 from __future__ import annotations
@@ -138,9 +140,10 @@ def run_cells(
         for cell in cells:
             yield CellResult(cell, *worker(cell.experiment, cell.seed, spec))
         return
-    with ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         max_workers=jobs, mp_context=get_context("spawn")
-    ) as pool:
+    )
+    try:
         submitted = [
             (cell, pool.submit(worker, cell.experiment, cell.seed, spec))
             for cell in cells
@@ -155,3 +158,7 @@ def run_cells(
                     "out-of-memory kill)"
                 ) from exc
             yield CellResult(cell, *output)
+    finally:
+        # A cell that raised, or a consumer that stopped early, must not
+        # wait for every queued cell: cancel those, wait for running ones.
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -28,7 +28,7 @@ from ..obs.sampler import PeriodicSampler, standard_sampler
 from ..obs.trace import TRACER, tracepoint
 from ..os.kernel import GuestKernel
 from ..os.process import Process
-from ..pagetable.pte import PteFlags, pte_flags
+from ..pagetable.pte import COW
 from ..units import BLOCKS_PER_PAGE, CACHE_BLOCK_SHIFT, PAGE_SHIFT
 from ..virt.hypervisor import HostKernel
 from ..virt.nested import NestedWalker
@@ -223,7 +223,7 @@ class WorkloadRun:
         cycles = 0
         if write:
             pte = self.process.page_table.lookup(vpn)
-            if pte is not None and pte_flags(pte) & PteFlags.COW:
+            if pte is not None and pte & COW:
                 outcome = self.kernel.handle_fault(self.process, vpn, write=True)
                 cycles += outcome.cycles
                 if self.measuring:

@@ -15,20 +15,26 @@ node pages, as real MMUs do. Every access flows through the shared cache
 hierarchy tagged ``"gpt"`` or ``"hpt"`` so experiments can attribute
 hit/miss behaviour per dimension -- the measurement at the heart of the
 paper (gPT vs hPT accesses served by main memory).
+
+Every TLB miss runs this code, so both dimensions are walked in one loop
+over the page-table nodes, by the rules of the 1D
+:class:`~repro.pagetable.walker.PageWalker` (kept as the reference),
+building no path lists, per-level tuples or result objects besides the
+one :class:`NestedWalkResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.pwc import PageWalkCache
 from ..obs.profile import PROFILER
 from ..obs.trace import tracepoint
+from ..pagetable.pte import PRESENT
 from ..pagetable.radix import PageTable
-from ..pagetable.walker import PageWalker
-from ..units import PAGE_SHIFT, pte_address
+from ..units import BITS_PER_LEVEL, PAGE_SHIFT, PT_INDEX_MASK, PTE_SIZE
 from .hypervisor import HostKernel, VmHandle
 
 #: Capacity of the nested TLB (gfn -> hfn for guest-PT node pages).
@@ -96,14 +102,6 @@ class NestedWalker:
         self.hierarchy = hierarchy
         self.guest_pwc = guest_pwc
         self.host_pwc = host_pwc
-        self._host_walker = PageWalker(
-            vm.host_pt,
-            memory_access=hierarchy.access,
-            pwc=host_pwc,
-            stream="hpt",
-        )
-        # Let profiled host-walk steps carry their serving cache level.
-        self._host_walker.hierarchy = hierarchy
         # Nested TLB: gfn -> hfn, LRU via insertion order.
         self._ntlb: Dict[int, int] = {}
         self.ntlb_hits = 0
@@ -112,117 +110,159 @@ class NestedWalker:
         self.total_cycles = 0
         self.total_host_cycles = 0
 
-    # ------------------------------------------------------------------ #
-    # Host-dimension helpers
-    # ------------------------------------------------------------------ #
-
-    def _host_translate(self, gfn: int) -> Tuple[int, int, int]:
-        """Translate guest frame ``gfn``; returns (hfn, cycles, accesses).
-
-        Walks the host PT; on a host-PT hole (guest frame not yet backed)
-        the host kernel backs it and the walk is re-issued, modelling the
-        EPT-violation exit + resume.
-        """
-        result = self._host_walker.walk(gfn)
-        if result.frame is None:
-            self.host.ensure_backed(self.vm, gfn)
-            retry = self._host_walker.walk(gfn)
-            return (
-                retry.frame,
-                result.cycles + retry.cycles,
-                result.accesses + retry.accesses,
-            )
-        return result.frame, result.cycles, result.accesses
-
-    def _host_translate_node(self, gfn: int) -> Tuple[int, int, int]:
-        """Host-translate a guest-PT *node* frame, using the nested TLB."""
-        hfn = self._ntlb.get(gfn)
-        if hfn is not None:
-            del self._ntlb[gfn]
-            self._ntlb[gfn] = hfn  # refresh LRU position
-            self.ntlb_hits += 1
-            return hfn, 0, 0
-        self.ntlb_misses += 1
-        hfn, cycles, accesses = self._host_translate(gfn)
-        if len(self._ntlb) >= NESTED_TLB_ENTRIES:
-            del self._ntlb[next(iter(self._ntlb))]
-        self._ntlb[gfn] = hfn
-        return hfn, cycles, accesses
-
-    # ------------------------------------------------------------------ #
-    # The 2D walk
-    # ------------------------------------------------------------------ #
-
     def walk(self, gvpn: int) -> NestedWalkResult:
-        """Translate guest virtual page ``gvpn`` end to end."""
-        cycles = 0
-        host_cycles = 0
-        guest_accesses = 0
-        host_accesses = 0
+        """Translate guest virtual page ``gvpn`` end to end.
 
-        path, leaf_pte = self.guest_pt.walk_path_and_pte(gvpn)
-        start_depth = 0
-        if self.guest_pwc is not None:
-            hit = self.guest_pwc.lookup(gvpn)
+        One descent of the guest PT, root first. Each guest node the walk
+        reads first has its own frame host-translated -- by the nested
+        TLB, else by a host walk -- and then its gPTE is fetched; a
+        translated page gets one final host walk for its data frame
+        (pseudo-level 0 below). A host walk that meets a hole backs the
+        frame (``ensure_backed``, the EPT-violation exit) and is
+        re-issued. In both dimensions a PWC hit at level L starts the
+        walk at the level-L node, and every node read fills the PWC.
+        """
+        hierarchy = self.hierarchy
+        access = hierarchy.access
+        profiling = PROFILER.enabled
+        guest_pt = self.guest_pt
+        guest_pwc = self.guest_pwc
+        start_level = guest_pt.levels
+        if guest_pwc is not None:
+            hit = guest_pwc.lookup(gvpn)
             if hit is not None:
-                hit_level, _frame = hit
-                start_depth = min(self.guest_pt.levels - hit_level, len(path))
+                start_level = hit[0]
         if _tp_walk_enter.enabled:
-            _tp_walk_enter.emit(vpn=gvpn, start_depth=start_depth)
-
-        for level, node_frame, index in path[start_depth:]:
-            # The gPTE lives at a guest-physical address; locate it in host
-            # physical memory first (nested dimension).
-            gpte_gpa = pte_address(node_frame, index)
-            if PROFILER.enabled:
-                self._host_walker.profile_context = (
-                    "walk", "hpt", f"gl{level}",
-                )
-            hfn, walk_cycles, walk_accesses = self._host_translate_node(
-                node_frame
+            depth = len(guest_pt.walk_path(gvpn))
+            _tp_walk_enter.emit(
+                vpn=gvpn, start_depth=min(guest_pt.levels - start_level, depth)
             )
-            cycles += walk_cycles
-            host_cycles += walk_cycles
-            host_accesses += walk_accesses
-            # Then fetch the gPTE itself through the cache hierarchy.
-            gpte_hpa = (hfn << PAGE_SHIFT) | (gpte_gpa & ((1 << PAGE_SHIFT) - 1))
-            latency = self.hierarchy.access(gpte_hpa, "gpt")
-            if PROFILER.enabled:
-                PROFILER.add(
-                    (
-                        "walk",
-                        "gpt",
-                        f"gl{level}",
-                        self.hierarchy.last_outcome.name.lower(),
-                    ),
-                    latency,
-                )
-            cycles += latency
-            guest_accesses += 1
-            if _tp_walk_step.enabled:
-                _tp_walk_step.emit(
-                    vpn=gvpn,
-                    level=level,
-                    cycles=latency + walk_cycles,
-                    host_accesses=walk_accesses,
-                )
-            if self.guest_pwc is not None:
-                self.guest_pwc.fill(gvpn, level, node_frame)
-
-        guest_frame = None
-        host_frame = None
-        if leaf_pte is not None:
-            guest_frame = leaf_pte >> PAGE_SHIFT
-        if guest_frame is not None:
-            # Final host walk: translate the data page's guest frame.
-            if PROFILER.enabled:
-                self._host_walker.profile_context = ("walk", "hpt", "leaf")
-            host_frame, walk_cycles, walk_accesses = self._host_translate(
-                guest_frame
-            )
-            cycles += walk_cycles
-            host_cycles += walk_cycles
-            host_accesses += walk_accesses
+        vm = self.vm
+        host_pt = vm.host_pt
+        host_pwc = self.host_pwc
+        ntlb = self._ntlb
+        cycles = host_cycles = guest_accesses = host_accesses = 0
+        guest_frame = host_frame = None
+        node = guest_pt.root
+        level = guest_pt.levels
+        # One iteration per guest level, root first; level 0 is the final
+        # host walk of the data page. Level 0 is always <= start_level.
+        while True:
+            if level:
+                shift = (level - 1) * BITS_PER_LEVEL
+                index = (gvpn >> shift) & PT_INDEX_MASK
+            if level <= start_level:
+                if level:
+                    # The gPTE lives at a guest-physical address: locate
+                    # its node in host physical memory first.
+                    gfn = node.frame
+                    hfn = ntlb.get(gfn)
+                    if hfn is None:
+                        self.ntlb_misses += 1
+                    else:
+                        del ntlb[gfn]
+                        ntlb[gfn] = hfn  # refresh LRU position
+                        self.ntlb_hits += 1
+                else:
+                    gfn = guest_frame
+                    hfn = None
+                walk_cycles = walk_accesses = 0
+                if hfn is None:
+                    if profiling:
+                        context = (
+                            "walk", "hpt", f"gl{level}" if level else "leaf",
+                        )
+                    backed = False
+                    while True:
+                        host_start = host_pt.levels
+                        if host_pwc is not None:
+                            hit = host_pwc.lookup(gfn)
+                            if hit is not None:
+                                host_start = hit[0]
+                        hnode = host_pt.root
+                        hlevel = host_pt.levels
+                        while True:
+                            hshift = (hlevel - 1) * BITS_PER_LEVEL
+                            hindex = (gfn >> hshift) & PT_INDEX_MASK
+                            if hlevel <= host_start:
+                                latency = access(
+                                    (hnode.frame << PAGE_SHIFT)
+                                    + hindex * PTE_SIZE,
+                                    "hpt",
+                                )
+                                walk_cycles += latency
+                                walk_accesses += 1
+                                if profiling:
+                                    outcome = hierarchy.last_outcome.name
+                                    step = (f"hl{hlevel}", outcome.lower())
+                                    PROFILER.add(context + step, latency)
+                                if host_pwc is not None:
+                                    host_pwc.fill(gfn, hlevel, hnode.frame)
+                            if hlevel == 1:
+                                hpte = hnode.entries.get(hindex)
+                                if hpte is not None and hpte & PRESENT:
+                                    hfn = hpte >> PAGE_SHIFT
+                                break
+                            if hlevel == 2:
+                                huge = hnode.entries.get(hindex)
+                                if huge is not None and huge & PRESENT:
+                                    hfn = (huge >> PAGE_SHIFT) + (
+                                        gfn & PT_INDEX_MASK
+                                    )
+                                    break
+                            hnode = hnode.children.get(hindex)
+                            if hnode is None:
+                                break
+                            hlevel -= 1
+                        if hfn is not None or backed:
+                            break
+                        self.host.ensure_backed(vm, gfn)
+                        backed = True
+                    if level:
+                        if len(ntlb) >= NESTED_TLB_ENTRIES:
+                            del ntlb[next(iter(ntlb))]
+                        ntlb[gfn] = hfn
+                cycles += walk_cycles
+                host_cycles += walk_cycles
+                host_accesses += walk_accesses
+                if not level:
+                    host_frame = hfn
+                    break
+                # Then fetch the gPTE itself through the cache hierarchy.
+                latency = access((hfn << PAGE_SHIFT) + index * PTE_SIZE, "gpt")
+                if profiling:
+                    outcome = hierarchy.last_outcome.name.lower()
+                    step = ("walk", "gpt", f"gl{level}", outcome)
+                    PROFILER.add(step, latency)
+                cycles += latency
+                guest_accesses += 1
+                if _tp_walk_step.enabled:
+                    _tp_walk_step.emit(
+                        vpn=gvpn,
+                        level=level,
+                        cycles=latency + walk_cycles,
+                        host_accesses=walk_accesses,
+                    )
+                if guest_pwc is not None:
+                    guest_pwc.fill(gvpn, level, gfn)
+            # Descend the guest PT; a hole is a guest page fault.
+            if level == 1:
+                pte = node.entries.get(index)
+                if pte is None or not pte & PRESENT:
+                    break
+                guest_frame = pte >> PAGE_SHIFT
+                level = 0
+                continue
+            if level == 2:
+                huge = node.entries.get(index)
+                if huge is not None and huge & PRESENT:
+                    guest_frame = (huge >> PAGE_SHIFT) + (gvpn & PT_INDEX_MASK)
+                    level = 0
+                    continue
+            node = node.children.get(index)
+            if node is None:
+                break
+            level -= 1
 
         self.walks += 1
         self.total_cycles += cycles

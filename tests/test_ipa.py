@@ -313,6 +313,28 @@ def test_mirror_coherence_clean_when_helper_pairs_the_shootdown():
     assert rules_hit(src) == []
 
 
+def test_mirror_coherence_flags_range_teardown_without_shootdown():
+    # unmap_range mutates the guest PT like unmap: a helper that tears a
+    # range down and never reaches _notify_unmap leaves stale TLB entries.
+    src = (
+        "class Kernel:\n"
+        "    def _zap(self, pt, start, end):\n"
+        "        for vpn, pte in pt.unmap_range(start, end):\n"
+        "            self._release(vpn, pte)\n"
+        "    def _release(self, vpn, pte):\n"
+        "        return vpn\n"
+        "    def munmap(self, process, start, end):\n"
+        "        self._zap(process.page_table, start, end)\n"
+    )
+    findings = lint_source(src, path="snippet.py")
+    assert [finding.rule for finding in findings] == ["mirror-coherence"]
+    assert findings[0].line == 8
+    paired = src.replace(
+        "        return vpn\n", "        self._notify_unmap(0, vpn)\n"
+    )
+    assert rules_hit(paired) == []
+
+
 def test_mirror_coherence_host_side_binding_is_exempt():
     src = (
         "class Hypervisor:\n"

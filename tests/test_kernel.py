@@ -4,10 +4,12 @@ import pytest
 
 from repro.config import GuestConfig, MachineConfig
 from repro.errors import SegmentationFault, SimulationError
+from repro.invariants import check_page_table
 from repro.mem.physical import FrameState
 from repro.os.fault import FaultKind
+from repro.os.fork import fork
 from repro.os.kernel import GuestKernel
-from repro.units import MB, RESERVATION_PAGES
+from repro.units import MB, PTES_PER_NODE, RESERVATION_PAGES
 
 
 def make_kernel(ptemagnet=False, memory_mb=32, **kwargs):
@@ -239,3 +241,143 @@ class TestStats:
         assert kernel.stats.reservation_new_faults == 1
         assert kernel.stats.reservation_hit_faults == RESERVATION_PAGES - 1
         assert kernel.stats.faults == RESERVATION_PAGES
+
+
+def reference_munmap(kernel, process, start_vpn, npages):
+    """The per-page teardown the range walk replaced: probe every page of
+    each removed fragment and free the mapped ones one at a time."""
+    released = 0
+    for fragment in process.address_space.munmap(start_vpn, npages):
+        for vpn in fragment.pages():
+            if process.page_table.is_mapped(vpn):
+                kernel._free_page(process, vpn)
+                released += 1
+    return released
+
+
+class Twin:
+    """One of two identical kernels, logging its frees and shootdowns."""
+
+    def __init__(self, setup, **config):
+        self.kernel = make_kernel(sanitize=True, **config)
+        buddy = self.kernel.buddy
+        self.frees = []
+        free = buddy.free
+
+        def logged_free(base):
+            self.frees.append(base)
+            free(base)
+
+        # Bound before any page table captures buddy.free as its releaser.
+        buddy.free = logged_free
+        self.shootdowns = []
+        self.kernel.add_unmap_observer(
+            lambda pid, vpn: self.shootdowns.append((pid, vpn))
+        )
+        self.processes = setup(self.kernel)
+        self.bases = [
+            next(iter(process.address_space)).start_vpn
+            for process in self.processes
+        ]
+        self.frees.clear()
+        self.shootdowns.clear()
+
+
+def assert_same_teardown(setup, unmaps, exit_pids=(), **config):
+    """Run ``unmaps`` -- ``(process index, offset from the process' first
+    VMA at setup, npages)`` -- through munmap on one twin and the per-page
+    reference on the other, then exit ``exit_pids`` on both; everything
+    observable must match."""
+    ranged, reference = Twin(setup, **config), Twin(setup, **config)
+    reference.kernel.munmap = lambda process, start, npages: (
+        reference_munmap(reference.kernel, process, start, npages)
+    )
+    for index, offset, npages in unmaps:
+        results = []
+        for twin in (ranged, reference):
+            start = twin.bases[index] + offset
+            results.append(
+                twin.kernel.munmap(twin.processes[index], start, npages)
+            )
+        assert results[0] == results[1]
+    for index in exit_pids:
+        for twin in (ranged, reference):
+            twin.kernel.exit_process(twin.processes[index])
+    assert ranged.frees, "the teardown freed nothing: vacuous case"
+    assert ranged.frees == reference.frees
+    assert ranged.shootdowns == reference.shootdowns
+    assert ranged.kernel.meminfo() == reference.kernel.meminfo()
+    for mine, theirs in zip(ranged.processes, reference.processes):
+        assert mine.page_table.node_count == theirs.page_table.node_count
+        assert mine.page_table.mapped_pages == theirs.page_table.mapped_pages
+        if mine.alive:
+            check_page_table(mine.page_table)
+    for twin in (ranged, reference):
+        assert twin.kernel.sanitizer.violations == 0
+
+
+def faulted(npages, pages):
+    """Setup: one process, one VMA of ``npages``, ``pages`` faulted in."""
+
+    def setup(kernel):
+        process = kernel.create_process("app")
+        vma = kernel.mmap(process, npages)
+        for page in pages:
+            kernel.handle_fault(process, vma.start_vpn + page)
+        return [process]
+
+    return setup
+
+
+class TestRangeTeardown:
+    """munmap's one-pass range walk against today's per-page loop."""
+
+    def test_ranges_with_holes(self):
+        pages = [p for p in range(2000) if p % 3 and not 600 <= p < 1200]
+        assert_same_teardown(
+            faulted(2000, pages), [(0, 10, 1500), (0, 0, 2000)]
+        )
+
+    def test_range_starts_and_ends_mid_leaf(self):
+        assert_same_teardown(
+            faulted(1024, range(1024)), [(0, 100, 300), (0, 700, 5)]
+        )
+
+    def test_range_spans_leaf_and_level2_boundaries(self):
+        # The mmap base is 1GB-aligned, so offset PTES_PER_NODE**2 is the
+        # first page of the next level-2 node.
+        boundary = PTES_PER_NODE * PTES_PER_NODE
+        pages = range(boundary - 700, boundary + 700, 2)
+        assert_same_teardown(
+            faulted(boundary + 1024, pages),
+            [(0, boundary - 600, 1000), (0, 0, boundary + 1024)],
+        )
+
+    def test_thp_mapping_partly_in_range(self):
+        # Two huge mappings; the first range cuts the tail of one and the
+        # head of the other, so the walk splits both on its way.
+        assert_same_teardown(
+            faulted(4 * PTES_PER_NODE, [0, PTES_PER_NODE, 3 * PTES_PER_NODE]),
+            [(0, 100, PTES_PER_NODE), (0, 3 * PTES_PER_NODE - 8, 16)],
+            thp_enabled=True,
+        )
+
+    def test_cow_shared_pages_after_fork(self):
+        def setup(kernel):
+            (parent,) = faulted(64, range(48))(kernel)
+            child = fork(kernel, parent)
+            start = next(iter(child.address_space)).start_vpn
+            for page in (3, 4, 40):  # private copies in the child
+                kernel.handle_fault(child, start + page, write=True)
+            return [parent, child]
+
+        assert_same_teardown(setup, [(0, 2, 40), (1, 0, 64), (0, 0, 64)])
+
+    def test_ptemagnet_process_with_live_reservations(self):
+        pages = [p for p in range(256) if p % RESERVATION_PAGES in (0, 5)]
+        assert_same_teardown(
+            faulted(256, pages),
+            [(0, 3, 37), (0, 100, 60)],
+            exit_pids=(0,),
+            ptemagnet=True,
+        )

@@ -11,6 +11,7 @@ import json
 import os
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,16 @@ def _slow_first_worker(experiment, seed, spec=None):
     """Finishes out of submission order: cell with seed 0 is slowest."""
     time.sleep(0.3 if seed == 0 else 0.0)
     return f"text for seed {seed}", {"seed": seed}, {}, 0.0, None
+
+
+def _failing_first_worker(experiment, seed, spec=None):
+    """Cell 0 raises at once; every other cell sleeps 1 s, then leaves a
+    marker file in the directory ``spec`` names."""
+    if seed == 0:
+        raise ValueError("cell 0 failed")
+    time.sleep(1.0)
+    Path(spec, f"cell{seed}").touch()
+    return f"text for seed {seed}", {}, {}, 0.0, None
 
 
 def _capsule_echo_worker(experiment, seed, spec=None):
@@ -73,6 +84,22 @@ class TestRunCells:
         cells = [ExperimentCell("table1", 0), ExperimentCell("table1", 1)]
         with pytest.raises(ParallelExecutionError, match=r"table1\[seed=0\]"):
             list(run_cells(cells, 2, worker=_crash_worker))
+
+    def test_failing_cell_cancels_queued_cells(self, tmp_path):
+        # When cell 0's failure arrives, at most 2 * jobs + 1 cells are
+        # running or already in the pool's call queue, where they can no
+        # longer be cancelled; cells from 6 on can run only if the pool
+        # waits for every queued cell.
+        cells = [ExperimentCell("x", seed) for seed in range(8)]
+        with pytest.raises(ValueError, match="cell 0 failed"):
+            list(
+                run_cells(
+                    cells, 2, worker=_failing_first_worker, spec=str(tmp_path)
+                )
+            )
+        # Shutdown waits for running cells, so the last cell would have
+        # left its marker by now had it not been cancelled.
+        assert not (tmp_path / "cell7").exists()
 
     def test_spec_and_capsule_round_trip_parallel(self):
         from repro.obs.remote import CaptureSpec

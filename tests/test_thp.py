@@ -3,9 +3,12 @@
 import pytest
 
 from repro.config import GuestConfig, MachineConfig
+from repro.errors import PageTableError
+from repro.invariants import check_page_table
 from repro.os.fault import FaultKind
 from repro.os.fork import fork
 from repro.os.kernel import GuestKernel
+from repro.pagetable.pte import make_pte, pte_frame
 from repro.pagetable.radix import PageTable
 from repro.units import MB
 
@@ -62,6 +65,30 @@ class TestHugePageTable:
         assert table.unmap_huge(5) == 1024
         assert table.translate(0) is None
         assert table.mapped_pages == 0
+
+    def test_unmap_huge_keeps_neighbouring_huge_mapping(self):
+        # Both entries sit in one level-2 node that has no child nodes;
+        # removing one must not free the node under the other.
+        table = self.make_table()
+        table.map_huge(0, 1024)
+        table.map_huge(HUGE, 2048)
+        table.unmap_huge(0)
+        assert table.translate(HUGE + 3) == 2048 + 3
+        check_page_table(table)
+
+    def test_unmap_range_stops_at_unsplit_huge_mapping(self):
+        # The range walk hands a huge mapping back still mapped; resuming
+        # without splitting it is a caller bug, not an endless loop.
+        table = self.make_table()
+        table.map(3, 77)
+        table.map_huge(HUGE, 2048)
+        walk = table.unmap_range(0, 2 * HUGE)
+        assert next(walk) == (3, make_pte(77))
+        vpn, pte = next(walk)
+        assert (vpn, pte_frame(pte)) == (HUGE, 2048)
+        assert table.translate(HUGE) == 2048
+        with pytest.raises(PageTableError, match="not split"):
+            next(walk)
 
     def test_huge_mappings_iterator(self):
         table = self.make_table()
@@ -167,6 +194,20 @@ class TestThpFaultPath:
         p = kernel.create_process("app")
         _vma, base = aligned_vma(kernel, p)
         kernel.handle_fault(p, base)
+        kernel.exit_process(p)
+        assert kernel.buddy.free_frames == free_at_boot
+
+
+    def test_split_keeps_neighbouring_huge_mapping(self):
+        kernel = make_kernel("thp")
+        free_at_boot = kernel.buddy.free_frames
+        p = kernel.create_process("app")
+        _vma, base = aligned_vma(kernel, p)
+        kernel.handle_fault(p, base)
+        kernel.handle_fault(p, base + HUGE)
+        kernel.munmap(p, base + 10, 1)  # splits the first mapping only
+        assert p.page_table.translate(base + HUGE + 1) is not None
+        check_page_table(p.page_table)
         kernel.exit_process(p)
         assert kernel.buddy.free_frames == free_at_boot
 
