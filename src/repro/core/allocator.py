@@ -132,7 +132,7 @@ class PTEMagnetAllocator:
                 # Completed reservation: every slot is mapped, so no
                 # unreserved frames remain for the sanitizer to retire
                 # (on_unreserve covers *unmapped* leftovers only).
-                used_part.remove(group)  # simlint: disable=mirror-coherence (reservation fully mapped; nothing left to unreserve)
+                used_part.remove(group)
                 self.stats.reservations_completed += 1
                 if _tp_complete.enabled:
                     _tp_complete.emit(pid=owner, group=group)

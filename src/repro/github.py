@@ -29,7 +29,7 @@ def workflow_command(kind: str, message: str, **properties: object) -> str:
     """
     rendered = ",".join(
         f"{name}={escape_property(str(value))}"
-        for name, value in properties.items()  # simlint: disable=snapshot-determinism (keyword order IS the output contract)
+        for name, value in properties.items()
         if str(value) != ""
     )
     head = f"::{kind} {rendered}" if rendered else f"::{kind}"

@@ -23,7 +23,6 @@ from .core import (
     UNITS_SCOPED_DIRS,
     Finding,
     LintContext,
-    ProgramRule,
     Rule,
     collect_files,
     iter_rules,
@@ -44,7 +43,6 @@ __all__ = [
     "UNITS_SCOPED_DIRS",
     "Finding",
     "LintContext",
-    "ProgramRule",
     "Rule",
     "collect_files",
     "iter_rules",

@@ -12,12 +12,7 @@ from collections import Counter
 from typing import List, Optional
 
 from ..github import escape_data, escape_property, workflow_command
-from .core import (
-    JSON_SCHEMA_VERSION,
-    ProgramRule,
-    iter_rules,
-    lint_paths,
-)
+from .core import JSON_SCHEMA_VERSION, iter_rules, lint_paths
 
 #: Kept under the historical private names: external tooling (and the
 #: test suite) imports the escaping helpers from here; the shared
@@ -67,14 +62,11 @@ def _render_github(findings) -> str:
 
 
 def _list_rules() -> str:
-    """Every registered rule, sorted by name, with its kind."""
-    lines = []
-    for rule in sorted(iter_rules(), key=lambda rule: rule.name):
-        kind = "program" if isinstance(rule, ProgramRule) else "file"
-        lines.append(
-            f"{rule.name:24} [{kind}/{rule.category}] {rule.description}"
-        )
-    return "\n".join(lines)
+    """Every registered rule, sorted by name, with its category."""
+    return "\n".join(
+        f"{rule.name:24} [{rule.category}] {rule.description}"
+        for rule in sorted(iter_rules(), key=lambda rule: rule.name)
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -102,19 +94,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated rule names to skip for this run",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan the per-file phase out over N processes (the "
-        "whole-program pass stays single-process; output is "
-        "byte-identical at any job count)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print every registered rule (name, kind, category, "
-        "description), sorted by name, and exit",
+        help="print every registered rule (name, category, description), "
+        "sorted by name, and exit",
     )
     args = parser.parse_args(argv)
 
@@ -124,8 +107,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.paths:
         parser.error("no paths given (try: python -m repro.lint src/)")
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     disabled = {name.strip() for name in args.disable.split(",") if name.strip()}
     known = {rule.name for rule in iter_rules()}
     unknown = disabled - known
@@ -133,7 +114,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"unknown rule(s) in --disable: {', '.join(sorted(unknown))}")
 
     try:
-        findings = lint_paths(args.paths, disabled=disabled, jobs=args.jobs)
+        findings = lint_paths(args.paths, disabled=disabled)
     except OSError as exc:
         parser.error(f"cannot lint {exc.filename or '?'}: {exc.strerror or exc}")
 

@@ -126,23 +126,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProgramRule(Rule):
-    """A whole-program rule: runs once over the joined call graph.
-
-    Program rules contribute nothing in the per-file phase; after every
-    file has been parsed (possibly in parallel under ``--jobs``), each
-    one sees the :class:`repro.lint.ipa.Program` and its
-    :class:`repro.lint.ipa.Summaries` exactly once. Findings still
-    anchor to a (path, line) and respect that file's pragmas.
-    """
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_program(self, program, summaries) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 #: Registry of every known rule, keyed by rule name, insertion-ordered.
 RULES: Dict[str, Rule] = {}
 
@@ -232,97 +215,34 @@ def _suppressed(finding: Finding, file_disabled, line_disabled) -> bool:
 # Entry points
 # ---------------------------------------------------------------------- #
 
-def _check_one_file(source: str, path: str, disabled: Set[str]):
-    """Per-file phase: parse, run per-file rules, extract IPA facts.
-
-    Returns ``(findings, facts)`` where ``facts`` is ``None`` when the
-    file does not parse. Everything returned is picklable, so this is
-    also the ``--jobs`` worker payload.
-    """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return (
-            [
-                Finding(
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    rule="syntax-error",
-                    message=f"file does not parse: {exc.msg}",
-                )
-            ],
-            None,
-        )
-    from .ipa import extract_facts  # lazy: ipa imports this module
-
-    ctx = LintContext(path, source, tree)
-    findings = [
-        finding
-        for rule in iter_rules()
-        if rule.name not in disabled
-        for finding in rule.check(ctx)
-    ]
-    file_disabled, line_disabled = _parse_pragmas(ctx.lines)
-    findings = [
-        finding
-        for finding in findings
-        if not _suppressed(finding, file_disabled, line_disabled)
-    ]
-    facts = extract_facts(
-        path,
-        tree,
-        file_disabled=frozenset(file_disabled),
-        line_disabled={
-            line: frozenset(names) for line, names in line_disabled.items()
-        },
-    )
-    return findings, facts
-
-
-def _lint_one_worker(path: str, disabled):
-    """``--jobs`` process-pool entry point (module-level: picklable)."""
-    source = Path(path).read_text(encoding="utf-8")
-    return _check_one_file(source, path, set(disabled))
-
-
-def _program_findings(facts_list, disabled: Set[str]) -> List[Finding]:
-    """Whole-program phase: run every :class:`ProgramRule` once."""
-    from .ipa import Program, Summaries  # lazy: ipa imports this module
-
-    facts_list = [facts for facts in facts_list if facts is not None]
-    if not facts_list:
-        return []
-    program = Program(facts_list)
-    summaries = Summaries(program)
-    by_path = {facts.path: facts for facts in facts_list}
-    findings: List[Finding] = []
-    for rule in iter_rules():
-        if not isinstance(rule, ProgramRule) or rule.name in disabled:
-            continue
-        for finding in rule.check_program(program, summaries):
-            facts = by_path.get(finding.path)
-            if facts is not None and _suppressed(
-                finding, facts.file_disabled, facts.line_disabled
-            ):
-                continue
-            findings.append(finding)
-    return findings
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
     disabled: Iterable[str] = (),
 ) -> List[Finding]:
-    """Lint one source string; returns sorted findings.
-
-    Program rules run over a single-module program, so self-contained
-    fixtures exercise them too.
-    """
+    """Lint one source string; returns sorted findings."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return [
+            Finding(
+                path=path,
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                rule="syntax-error",
+                message=f"file does not parse: {exc.msg}",
+            )
+        ]
     disabled = set(disabled)
-    findings, facts = _check_one_file(source, path, disabled)
-    findings = findings + _program_findings([facts], disabled)
+    ctx = LintContext(path, source, tree)
+    file_disabled, line_disabled = _parse_pragmas(ctx.lines)
+    findings = [
+        finding
+        for rule in iter_rules()
+        if rule.name not in disabled
+        for finding in rule.check(ctx)
+        if not _suppressed(finding, file_disabled, line_disabled)
+    ]
     return sorted(findings, key=Finding.sort_key)
 
 
@@ -350,39 +270,12 @@ def collect_files(paths: Iterable) -> List[Path]:
     return sorted(out)
 
 
-def lint_paths(
-    paths: Iterable, disabled: Iterable[str] = (), jobs: int = 1
-) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``; returns sorted findings.
-
-    ``jobs > 1`` fans the per-file phase out over spawn processes (same
-    idiom as :func:`repro.parallel.run_cells`: tasks submitted in sorted
-    file order, results consumed in submission order, so output is
-    byte-identical at any job count). The whole-program phase always
-    runs single-process over the collected facts.
-    """
+def lint_paths(paths: Iterable, disabled: Iterable[str] = ()) -> List[Finding]:
+    """Lint every ``.py`` file under ``paths``; returns sorted findings."""
     disabled = set(disabled)
-    files = [str(file_path) for file_path in collect_files(paths)]
-    results = []
-    if jobs <= 1 or len(files) <= 1:
-        for file_path in files:
-            results.append(_lint_one_worker(file_path, tuple(sorted(disabled))))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(files)), mp_context=context
-        ) as pool:
-            futures = [
-                pool.submit(_lint_one_worker, file_path, tuple(sorted(disabled)))
-                for file_path in files
-            ]
-            for future in futures:
-                results.append(future.result())
-    findings = [finding for file_findings, _ in results for finding in file_findings]
-    findings.extend(
-        _program_findings([facts for _, facts in results], disabled)
-    )
+    findings = [
+        finding
+        for file_path in collect_files(paths)
+        for finding in lint_file(file_path, disabled)
+    ]
     return sorted(findings, key=Finding.sort_key)

@@ -361,10 +361,16 @@ SIGNATURES: Dict[str, List[Sig]] = {
     # hypervisor backing of guest-physical memory
     "ensure_backed": [Sig((_UNK, Space.GFN), returns=Space.HFN)],
     "unback": [Sig((_UNK, Space.GFN))],
-    # fault paths
+    # fault and free paths
     "handle_fault": [Sig((_UNK, Space.VPN))],
     "fault": [Sig((_UNK, Space.VPN, _UNK, _UNK))],
     "free_page": [Sig((_UNK, Space.VPN, Space.FRAME))],
+    "_free_page": [Sig((_UNK, Space.VPN))],
+    "split_huge": [Sig((_UNK, Space.VPN))],
+    # shootdown fan-out: TLBs and the guest PWC are keyed by guest VPN
+    "_notify_unmap": [Sig((_UNK, Space.VPN))],
+    "invalidate_translation": [Sig((Space.VPN,))],
+    "invalidate_vpn": [Sig((Space.VPN,))],
     # memory hierarchy timing
     "memory_access": [Sig((Space.ADDR, _UNK), returns=Space.CYCLES)],
 }
@@ -810,67 +816,3 @@ def analyze_module(ctx: LintContext, rule: Rule) -> List[Finding]:
     """Run the flow analysis over one parsed file."""
     return FlowAnalyzer(ctx, rule).analyze()
 
-
-# ---------------------------------------------------------------------- #
-# Summary export seam (consumed by repro.lint.ipa)
-# ---------------------------------------------------------------------- #
-
-def param_spaces(func: ast.AST) -> List[Tuple[str, Space]]:
-    """Public seam: (name, space) of every parameter, ``self`` excluded.
-
-    The whole-program analysis (:mod:`repro.lint.ipa`) seeds its
-    per-function summaries from exactly the naming-derived spaces this
-    module uses intra-procedurally, so the two layers can never disagree
-    about what a parameter name promises.
-    """
-    return _param_spaces(func)
-
-
-def infer_return_space(func: ast.AST) -> Space:
-    """Naming-derived space of a function's return values.
-
-    Joins the spaces of every ``return <name-or-attribute>`` in the
-    function's own body (nested defs excluded); incompatible returns or
-    non-trivial expressions yield UNKNOWN. Calls in return position are
-    left to the summary propagation pass, which resolves the callee.
-    """
-    out = Space.UNKNOWN
-    for node in _walk_own_body(func):
-        if not isinstance(node, ast.Return) or node.value is None:
-            continue
-        space = quick_space(node.value)
-        if not compatible(out, space):
-            return Space.UNKNOWN
-        out = join(out, space)
-    return out
-
-
-def quick_space(node: ast.AST) -> Space:
-    """Cheap, environment-free space inference for one expression.
-
-    Covers the shapes call-site arguments actually take (bare names,
-    attribute chains, ``>> PAGE_SHIFT`` conversions); everything else is
-    UNKNOWN. Used by the fact extractor so facts stay picklable without
-    dragging a FlowAnalyzer (and its findings machinery) along.
-    """
-    if isinstance(node, ast.Name):
-        return space_of_name(node.id)
-    if isinstance(node, ast.Attribute):
-        return space_of_name(node.attr)
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.RShift) and _is_page_shift(node.right):
-            return _SHIFT_DOWN.get(quick_space(node.left), Space.UNKNOWN)
-        if isinstance(node.op, ast.LShift) and _is_page_shift(node.right):
-            return _SHIFT_UP.get(quick_space(node.left), Space.UNKNOWN)
-    return Space.UNKNOWN
-
-
-def _walk_own_body(func: ast.AST):
-    """Yield nodes of ``func``'s body without descending into nested defs."""
-    stack = list(func.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))

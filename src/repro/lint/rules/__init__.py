@@ -5,11 +5,7 @@ from . import (
     address_math,
     api_hygiene,
     determinism,
-    ipa_address_flow,
-    mirror_coherence,
     observability,
-    snapshot_determinism,
-    spawn_safety,
     units_discipline,
 )
 
@@ -18,10 +14,6 @@ __all__ = [
     "address_math",
     "api_hygiene",
     "determinism",
-    "ipa_address_flow",
-    "mirror_coherence",
     "observability",
-    "snapshot_determinism",
-    "spawn_safety",
     "units_discipline",
 ]

@@ -105,8 +105,7 @@ class ObservabilityCapsule:
     down and returns the JSON-safe capsule document. Mutating the
     ``TRACER``/``PROFILER`` singletons here is spawn-safe by design:
     every worker owns a private re-imported copy and the captured data
-    travels back by return value (the ``spawn-safety`` lint rule roots
-    its reachability analysis at these methods).
+    travels back by return value.
     """
 
     def __init__(self, spec: Optional[CaptureSpec]) -> None:

@@ -316,22 +316,18 @@ class GuestKernel:
         )
 
     def _huge_range_empty(self, process: Process, base: int) -> bool:
-        """True if no page of [base, base+512) is mapped yet."""
-        path = process.page_table.walk_path(base)
-        # If the level-2 node does not even exist, the range is empty; if
-        # it exists, the slot must have neither a child nor a huge entry.
-        if len(path) < process.page_table.levels - 1:
-            return True
-        level2_node_frame = path[-1]
-        # Re-derive the node to inspect its slot (walk_path gives frames,
-        # not nodes); cheap: descend again.
-        node = process.page_table.root
+        """True if no page of [base, base+512) is mapped yet.
+
+        One descent to the level-2 node covering ``base``: if that node
+        does not exist the range is empty; if it does, the slot must hold
+        neither a child node nor a huge entry.
+        """
         indices = process.page_table._indices(base)
+        node = process.page_table.root
         for index in indices[:-2]:
-            child = node.children.get(index)
-            if child is None:
+            node = node.children.get(index)
+            if node is None:
                 return True
-            node = child
         slot = indices[-2]
         return slot not in node.children and slot not in node.entries
 

@@ -30,15 +30,16 @@ and returns the captured telemetry as the fifth element of
 A worker that dies outright (hard exit, OOM kill) surfaces as
 :class:`ParallelExecutionError` naming the cell that was in flight --
 never as a hang. Ordinary exceptions raised by experiment code pickle
-through the pool and re-raise in the parent unchanged; the cells still
-waiting behind a failed one are cancelled, except the few the pool has
-already queued for its workers.
+through the pool and re-raise in the parent unchanged. The parent keeps
+at most N cells submitted and unfinished, so once a cell fails no
+further cell starts.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -133,6 +134,12 @@ def run_cells(
     ``worker(experiment, seed, spec)`` and results are yielded in
     submission order regardless of completion order, so consumers that
     merge or print them are deterministic by construction.
+
+    At most ``jobs`` cells are submitted and unfinished at any time: a
+    cell is submitted only when a worker is free, and none once a
+    submitted cell has failed. A failure therefore cancels every cell
+    behind it, where a pool holding the whole queue could cancel only
+    those it had not yet handed to its workers.
     """
     if jobs < 1:
         raise ReproError("jobs must be >= 1")
@@ -143,12 +150,29 @@ def run_cells(
     pool = ProcessPoolExecutor(
         max_workers=jobs, mp_context=get_context("spawn")
     )
+    queued = iter(cells)
+    # Submitted cells not yet yielded, in submission order.
+    window = deque()
     try:
-        submitted = [
-            (cell, pool.submit(worker, cell.experiment, cell.seed, spec))
-            for cell in cells
-        ]
-        for cell, future in submitted:
+        while True:
+            running = [future for _, future in window if not future.done()]
+            failed = any(
+                future.done() and future.exception() is not None
+                for _, future in window
+            )
+            if len(running) < jobs and not failed:
+                cell = next(queued, None)
+                if cell is not None:
+                    future = pool.submit(worker, cell.experiment, cell.seed, spec)
+                    window.append((cell, future))
+                    continue
+            if not window:
+                return
+            cell, future = window[0]
+            if not future.done():
+                wait(running, return_when=FIRST_COMPLETED)
+                continue
+            window.popleft()
             try:
                 output = future.result()
             except BrokenProcessPool as exc:
@@ -159,6 +183,6 @@ def run_cells(
                 ) from exc
             yield CellResult(cell, *output)
     finally:
-        # A cell that raised, or a consumer that stopped early, must not
-        # wait for every queued cell: cancel those, wait for running ones.
+        # A consumer that stopped early must not wait for cells it will
+        # never read: cancel any not yet started, wait for running ones.
         pool.shutdown(wait=True, cancel_futures=True)

@@ -1,5 +1,7 @@
 """Tests for the guest kernel: fault paths, frees, process lifecycle."""
 
+import random
+
 import pytest
 
 from repro.config import GuestConfig, MachineConfig
@@ -9,6 +11,7 @@ from repro.mem.physical import FrameState
 from repro.os.fault import FaultKind
 from repro.os.fork import fork
 from repro.os.kernel import GuestKernel
+from repro.os.reclaim import SwapDaemon
 from repro.units import MB, PTES_PER_NODE, RESERVATION_PAGES
 
 
@@ -50,6 +53,24 @@ class TestProcessLifecycle:
         kernel.handle_fault(p, vma.start_vpn)  # 1 mapped, 7 reserved
         kernel.exit_process(p)
         assert kernel.buddy.free_frames == free_at_boot
+
+    def test_exit_frees_reservation_of_pages_shared_with_a_child(self):
+        # The parent's shared pages outlive its exit, so the group's
+        # reservation is still live when exit_process reaches it: only
+        # exit's own loop can return its 5 unmapped frames.
+        kernel = make_kernel(ptemagnet=True)
+        free_at_boot = kernel.meminfo()["free"]
+        parent = kernel.create_process("parent")
+        vma = kernel.mmap(parent, RESERVATION_PAGES * 2)
+        base = ((vma.start_vpn // RESERVATION_PAGES) + 1) * RESERVATION_PAGES
+        for vpn in range(base, base + 3):
+            kernel.handle_fault(parent, vpn)
+        child = fork(kernel, parent)
+        kernel.exit_process(parent)
+        kernel.exit_process(child)
+        meminfo = kernel.meminfo()
+        assert meminfo["reserved"] == 0
+        assert meminfo["free"] == free_at_boot
 
     def test_double_exit_raises(self):
         kernel = make_kernel()
@@ -216,6 +237,17 @@ class TestFree:
         reservation = next(p.part.iter_reservations())
         assert reservation.mapped_count == 1
 
+    def test_partial_free_returns_frame_to_reservation(self):
+        kernel = make_kernel(ptemagnet=True)
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, RESERVATION_PAGES * 2)
+        base = ((vma.start_vpn // RESERVATION_PAGES) + 1) * RESERVATION_PAGES
+        kernel.handle_fault(p, base)
+        kernel.handle_fault(p, base + 1)
+        kernel.munmap(p, base, 1)
+        meminfo = kernel.meminfo()
+        assert (meminfo["user"], meminfo["reserved"]) == (1, RESERVATION_PAGES - 1)
+
     def test_refault_after_partial_free_reuses_reserved_frame(self):
         kernel = make_kernel(ptemagnet=True)
         p = kernel.create_process("app")
@@ -241,6 +273,84 @@ class TestStats:
         assert kernel.stats.reservation_new_faults == 1
         assert kernel.stats.reservation_hit_faults == RESERVATION_PAGES - 1
         assert kernel.stats.faults == RESERVATION_PAGES
+
+
+def watch_shootdowns(kernel):
+    """Every ``(pid, vpn)`` the kernel shoots down from now on."""
+    seen = []
+    kernel.add_unmap_observer(lambda pid, vpn: seen.append((pid, vpn)))
+    return seen
+
+
+class TestShootdowns:
+    """One test per ``_notify_unmap`` call site: each fails when its call
+    is deleted, since no other site fires in the scenario."""
+
+    def test_munmap_shoots_down_each_freed_page(self):
+        kernel = make_kernel()
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, 8)
+        for vpn in vma.pages():
+            kernel.handle_fault(p, vpn)
+        seen = watch_shootdowns(kernel)
+        kernel.munmap(p, vma.start_vpn + 2, 3)
+        assert seen == [(p.pid, vma.start_vpn + page) for page in (2, 3, 4)]
+
+    def test_swap_eviction_shoots_down_the_evicted_page(self):
+        kernel = make_kernel()
+        daemon = SwapDaemon(kernel, floor=1.0, rng=random.Random(3))
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, 8)
+        for vpn in vma.pages():
+            kernel.handle_fault(p, vpn)
+        seen = watch_shootdowns(kernel)
+        assert daemon.maybe_evict(batch_pages=1).pages_evicted == 1
+        assert seen == [(p.pid, vma.start_vpn)]
+
+    def test_cow_break_by_sole_owner_shoots_down(self):
+        kernel = make_kernel()
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, 4)
+        for vpn in vma.pages():
+            kernel.handle_fault(p, vpn)
+        kernel.exit_process(fork(kernel, p))  # p owns its COW pages alone
+        seen = watch_shootdowns(kernel)
+        outcome = kernel.handle_fault(p, vma.start_vpn + 1, write=True)
+        assert outcome.kind is FaultKind.SPURIOUS
+        assert seen == [(p.pid, vma.start_vpn + 1)]
+
+    def test_cow_break_by_copy_shoots_down(self):
+        kernel = make_kernel()
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, 4)
+        for vpn in vma.pages():
+            kernel.handle_fault(p, vpn)
+        child = fork(kernel, p)
+        seen = watch_shootdowns(kernel)
+        outcome = kernel.handle_fault(child, vma.start_vpn + 1, write=True)
+        assert outcome.kind is FaultKind.COW
+        assert seen == [(child.pid, vma.start_vpn + 1)]
+
+    def test_split_huge_shoots_down_every_covered_page(self):
+        kernel = make_kernel(thp_enabled=True)
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, 2 * PTES_PER_NODE)
+        assert kernel.handle_fault(p, vma.start_vpn).kind is FaultKind.THP
+        seen = watch_shootdowns(kernel)
+        kernel.split_huge(p, vma.start_vpn + 7)
+        assert seen == [
+            (p.pid, vma.start_vpn + page) for page in range(PTES_PER_NODE)
+        ]
+
+    def test_fork_shoots_down_each_page_it_marks_cow(self):
+        kernel = make_kernel()
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, 4)
+        for vpn in vma.pages():
+            kernel.handle_fault(p, vpn)
+        seen = watch_shootdowns(kernel)
+        fork(kernel, p)
+        assert seen == [(p.pid, vpn) for vpn in vma.pages()]
 
 
 def reference_munmap(kernel, process, start_vpn, npages):
