@@ -33,22 +33,15 @@ class PageWalkCache:
         if entries_per_level < 0:
             raise ValueError("entries_per_level must be non-negative")
         self.entries_per_level = entries_per_level
-        # _levels[level] maps vpn-prefix -> node frame. Sized for up to
-        # 6-level tables so the same PWC serves 4- and 5-level walks.
+        # _levels[level] maps vpn-prefix -> node frame, where the prefix
+        # of the level-L node covering a vpn is ``vpn >> (9 * L)`` (a leaf
+        # node covers 512 pages). Levels 1-6, leaf first, so the same PWC
+        # serves 4- and 5-level walks.
         self._levels: Dict[int, Dict[int, int]] = {
             level: {} for level in range(1, 7)
         }
         self.hits = 0
         self.misses = 0
-
-    @staticmethod
-    def _prefix(vpn: int, level: int) -> int:
-        """VPN prefix identifying the level-``level`` node covering ``vpn``.
-
-        A level-1 (leaf) node covers 512 pages -> prefix is ``vpn >> 9``;
-        each level up drops 9 more bits.
-        """
-        return vpn >> (BITS_PER_LEVEL * level)
 
     def lookup(self, vpn: int) -> Optional[Tuple[int, int]]:
         """Deepest cached node covering ``vpn``.
@@ -58,9 +51,8 @@ class PageWalkCache:
         """
         if self.entries_per_level == 0:
             return None
-        for level in range(1, 7):
-            entries = self._levels[level]
-            prefix = self._prefix(vpn, level)
+        for level, entries in self._levels.items():
+            prefix = vpn >> (BITS_PER_LEVEL * level)
             frame = entries.get(prefix)
             if frame is not None:
                 del entries[prefix]
@@ -78,7 +70,7 @@ class PageWalkCache:
         if self.entries_per_level == 0:
             return
         entries = self._levels[level]
-        prefix = self._prefix(vpn, level)
+        prefix = vpn >> (BITS_PER_LEVEL * level)
         if prefix in entries:
             del entries[prefix]
         elif len(entries) >= self.entries_per_level:
@@ -87,8 +79,8 @@ class PageWalkCache:
 
     def invalidate_vpn(self, vpn: int) -> None:
         """Drop every cached node covering ``vpn`` (after unmap/update)."""
-        for level in range(1, 7):
-            self._levels[level].pop(self._prefix(vpn, level), None)
+        for level, entries in self._levels.items():
+            entries.pop(vpn >> (BITS_PER_LEVEL * level), None)
 
     def flush(self) -> None:
         """Drop all entries (full TLB-shootdown equivalent)."""

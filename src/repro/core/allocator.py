@@ -22,7 +22,7 @@ its own new memory gets reservations in its own PaRT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import OutOfMemoryError
 from ..mem.buddy import BuddyAllocator
@@ -52,8 +52,7 @@ class AllocatorStats:
     parent_reservation_hits: int = 0
 
 
-@dataclass
-class FaultPathResult:
+class FaultPathResult(NamedTuple):
     """What the fault path produced for one page fault."""
 
     #: The guest physical frame now backing the faulting page.
@@ -95,9 +94,6 @@ class PTEMagnetAllocator:
     def _group(self, vpn: int) -> int:
         return vpn >> self.reservation_order
 
-    def _slot(self, vpn: int) -> int:
-        return vpn & (self.reservation_pages - 1)
-
     def fault(
         self,
         part: PageReservationTable,
@@ -114,8 +110,8 @@ class PTEMagnetAllocator:
         page can be allocated.
         """
         self.stats.faults += 1
-        group = self._group(vpn)
-        slot = self._slot(vpn)
+        group = vpn >> self.reservation_order
+        slot = vpn & (self.reservation_pages - 1)
 
         entry = part.lookup(group)
         used_part = part
@@ -125,10 +121,13 @@ class PTEMagnetAllocator:
             if entry is not None:
                 self.stats.parent_reservation_hits += 1
 
-        if entry is not None and not entry.slot_mapped(slot):
+        # ``slot`` comes from ``vpn``, so it is in range: test its mask bit
+        # and the full mask directly rather than through the checked
+        # Reservation accessors.
+        if entry is not None and not entry.mask & (1 << slot):
             frame = entry.map_slot(slot)
             self.buddy.memory.set_state(frame, FrameState.USER, owner)
-            if entry.full:
+            if entry.mask == (1 << entry.pages) - 1:
                 # Completed reservation: every slot is mapped, so no
                 # unreserved frames remain for the sanitizer to retire
                 # (on_unreserve covers *unmapped* leftovers only).
@@ -220,12 +219,12 @@ class PTEMagnetAllocator:
         the frame (caller must not free it again), ``False`` if the page
         was outside any live reservation (caller frees it normally).
         """
-        group = self._group(vpn)
+        group = vpn >> self.reservation_order
         entry = part.lookup(group)
         if entry is None:
             return False
-        slot = self._slot(vpn)
-        if not entry.slot_mapped(slot) or entry.frame_for_slot(slot) != frame:
+        slot = vpn & (self.reservation_pages - 1)
+        if not entry.mask & (1 << slot) or entry.base_frame + slot != frame:
             # The group has a reservation, but this mapping predates it or
             # was served by fallback; treat as a normal free.
             return False
@@ -236,7 +235,7 @@ class PTEMagnetAllocator:
             # The kernel already unmapped the page (shadow HELD); the slot
             # rejoins its reservation.
             san.on_reserve(frame, 1, owner, site="part.free_page")
-        emptied = entry.empty
+        emptied = not entry.mask
         if emptied:
             part.remove(group)
             if san is not None:

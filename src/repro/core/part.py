@@ -25,6 +25,11 @@ _tp_remove = tracepoint("part.remove")
 PART_LEVELS = 4
 #: Slot fan-out per node.
 PART_FANOUT = 1 << BITS_PER_LEVEL
+#: Mask selecting one level's slot index from a shifted group index.
+_SLOT_MASK = PART_FANOUT - 1
+#: Shift bringing the root level's slot index to the low bits. Lookups
+#: shift and mask per level, as ``PageTable.lookup`` does: no index tuple.
+_ROOT_SHIFT = (PART_LEVELS - 1) * BITS_PER_LEVEL
 
 
 class PartNode:
@@ -48,13 +53,14 @@ class PartNode:
 
 
 def _indices(group: int) -> Tuple[int, ...]:
-    """Split a group index into PaRT node indices, root level first."""
-    shift = (PART_LEVELS - 1) * BITS_PER_LEVEL
-    out = []
-    for _ in range(PART_LEVELS):
-        out.append((group >> shift) & (PART_FANOUT - 1))
-        shift -= BITS_PER_LEVEL
-    return tuple(out)
+    """Split a group index into PaRT node indices, root level first.
+
+    The radix path the invariant checks hold each stored reservation to.
+    """
+    return tuple(
+        (group >> shift) & _SLOT_MASK
+        for shift in range(_ROOT_SHIFT, -1, -BITS_PER_LEVEL)
+    )
 
 
 class PageReservationTable:
@@ -79,34 +85,37 @@ class PageReservationTable:
         radix path, taking each node's lock.
         """
         self.lookups += 1
-        indices = _indices(group)
         node = self.root
-        node.lock.acquire()
-        for index in indices[:-1]:
-            child = node.children.get(index)
-            if child is None:
+        node.lock.acquisitions += 1
+        shift = _ROOT_SHIFT
+        while shift:
+            node = node.children.get((group >> shift) & _SLOT_MASK)
+            if node is None:
                 return None
-            node = child
-            node.lock.acquire()
-        entry = node.entries.get(indices[-1])
+            node.lock.acquisitions += 1
+            shift -= BITS_PER_LEVEL
+        entry = node.entries.get(group & _SLOT_MASK)
         if entry is not None:
             self.lookup_hits += 1
         return entry
 
     def insert(self, reservation: Reservation) -> None:
         """Install a new reservation; interior nodes are created on demand."""
-        indices = _indices(reservation.group)
+        group = reservation.group
         node = self.root
-        node.lock.acquire()
-        for index in indices[:-1]:
+        node.lock.acquisitions += 1
+        shift = _ROOT_SHIFT
+        while shift:
+            index = (group >> shift) & _SLOT_MASK
             child = node.children.get(index)
             if child is None:
                 child = PartNode(node.level - 1)
                 node.children[index] = child
                 self.node_count += 1
             node = child
-            node.lock.acquire()
-        leaf_index = indices[-1]
+            node.lock.acquisitions += 1
+            shift -= BITS_PER_LEVEL
+        leaf_index = group & _SLOT_MASK
         if leaf_index in node.entries:
             raise ReservationError(
                 f"group {reservation.group} already has a reservation"
@@ -120,16 +129,18 @@ class PageReservationTable:
 
     def remove(self, group: int) -> Reservation:
         """Delete the reservation for ``group``; prunes empty nodes."""
-        indices = _indices(group)
         path: List[Tuple[PartNode, int]] = []
         node = self.root
-        for index in indices[:-1]:
+        shift = _ROOT_SHIFT
+        while shift:
+            index = (group >> shift) & _SLOT_MASK
             child = node.children.get(index)
             if child is None:
                 raise ReservationError(f"group {group} has no reservation")
             path.append((node, index))
             node = child
-        entry = node.entries.pop(indices[-1], None)
+            shift -= BITS_PER_LEVEL
+        entry = node.entries.pop(group & _SLOT_MASK, None)
         if entry is None:
             raise ReservationError(f"group {group} has no reservation")
         self.entry_count -= 1

@@ -23,6 +23,11 @@ The checks run after every page fault when either
 * the ``REPRO_INVARIANTS`` environment variable is set to ``1``/``true``/
   ``yes``/``on`` (overridable in-process via :func:`enable_invariants`).
 
+Both are read once, when a :class:`~repro.os.kernel.GuestKernel` is
+built, as the sanitizer switch is: setting the variable or calling
+:func:`enable_invariants` affects kernels built afterwards, not a kernel
+that already exists.
+
 Like Linux's ``CONFIG_DEBUG_VM``, the per-fault hook
 (:func:`check_fault_invariants`) is *path-local* -- O(tree depth) checks
 along the faulting address' page-table path, its reservation group and

@@ -156,9 +156,15 @@ class WallClockRule(Rule):
                     )
 
 
+#: Binary operators whose result is a set when either operand is one.
+_SET_ALGEBRA = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+
+
 def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_ALGEBRA):
+        return _is_set_expr(node.left) or _is_set_expr(node.right)
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)

@@ -153,20 +153,25 @@ class BuddyAllocator:
         Returns the base frame number. Raises :class:`OutOfMemoryError`
         when no block of the requested order or larger is free.
         """
-        self._check_order(order)
-        source = self._find_source_order(order)
-        if source is None:
-            self.stats.failed_allocations += 1
-            if _tp_oom.enabled:
-                _tp_oom.emit(order=order, free_frames=self._free_frames)
-            raise OutOfMemoryError(
-                f"{self.memory.name}: no free block of order >= {order}"
-            )
-        base = self._pop_block(source)
+        if not 0 <= order <= MAX_ORDER:
+            self._check_order(order)
+        free_lists = self._free
+        source = order
+        while not free_lists[source]:
+            source += 1
+            if source > MAX_ORDER:
+                self.stats.failed_allocations += 1
+                if _tp_oom.enabled:
+                    _tp_oom.emit(order=order, free_frames=self._free_frames)
+                raise OutOfMemoryError(
+                    f"{self.memory.name}: no free block of order >= {order}"
+                )
+        # LIFO: popitem() takes the most recently freed block.
+        base = free_lists[source].popitem()[0]
         while source > order:
             source -= 1
             buddy = base + (1 << source)
-            self._free[source][buddy] = None
+            free_lists[source][buddy] = None
             self.stats.splits += 1
             if _tp_split.enabled:
                 _tp_split.emit(order=source, base=base, buddy=buddy)
@@ -203,17 +208,21 @@ class BuddyAllocator:
         self._free_frames += 1 << order
         if _tp_free.enabled:
             _tp_free.emit(order=order, base=base)
+        free_lists = self._free
+        blocks = free_lists[order]
         while order < MAX_ORDER:
             buddy = base ^ (1 << order)
-            if buddy not in self._free[order]:
+            if buddy not in blocks:
                 break
-            del self._free[order][buddy]
-            base = min(base, buddy)
+            del blocks[buddy]
+            if buddy < base:
+                base = buddy
             order += 1
+            blocks = free_lists[order]
             self.stats.coalesces += 1
             if _tp_coalesce.enabled:
                 _tp_coalesce.emit(order=order, base=base)
-        self._free[order][base] = None
+        blocks[base] = None
         self.stats.frees += 1
         if _tp_watermark.enabled:
             self._check_watermark()
@@ -306,19 +315,6 @@ class BuddyAllocator:
                 state="low" if below else "ok",
                 free_frames=self._free_frames,
             )
-
-    def _find_source_order(self, order: int) -> Optional[int]:
-        for candidate in range(order, MAX_ORDER + 1):
-            if self._free[candidate]:
-                return candidate
-        return None
-
-    def _pop_block(self, order: int) -> int:
-        """Pop the most-recently-freed block (LIFO) from ``order``'s list."""
-        blocks = self._free[order]
-        base = next(reversed(blocks))
-        del blocks[base]
-        return base
 
     # ------------------------------------------------------------------ #
     # Integrity checking (used by property-based tests)

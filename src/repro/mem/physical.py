@@ -108,7 +108,8 @@ class PhysicalMemory:
         self, frame: int, state: FrameState, owner: Optional[int] = None
     ) -> None:
         """Set the state (and optionally the owner) of one frame."""
-        self.check_frame(frame)
+        if not 0 <= frame < self.num_frames:
+            self.check_frame(frame)
         if state is FrameState.FREE:
             self._state.pop(frame, None)
             self._owner.pop(frame, None)
@@ -126,6 +127,27 @@ class PhysicalMemory:
         state: FrameState,
         owner: Optional[int] = None,
     ) -> None:
-        """Set the state of ``count`` contiguous frames starting at ``base``."""
-        for frame in range(base, base + count):
-            self.set_state(frame, state, owner)
+        """Set the state of ``count`` contiguous frames starting at ``base``.
+
+        The range is checked once, before any frame changes: a range that
+        leaves ``[0, num_frames)`` raises :class:`InvalidAddressError`
+        naming its first frame outside, and no frame's state moves.
+        """
+        if count <= 0:
+            return
+        end = base + count
+        if base < 0 or end > self.num_frames:
+            self.check_frame(base if base < 0 else max(base, self.num_frames))
+        states = self._state
+        owners = self._owner
+        if state is FrameState.FREE:
+            for frame in range(base, end):
+                states.pop(frame, None)
+                owners.pop(frame, None)
+            return
+        for frame in range(base, end):
+            states[frame] = state
+            if owner is None:
+                owners.pop(frame, None)
+            else:
+                owners[frame] = owner

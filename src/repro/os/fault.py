@@ -9,7 +9,7 @@ one PTE. Dispatch between this path and PTEMagnet happens in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..mem.buddy import BuddyAllocator
 from ..mem.physical import FrameState
@@ -41,8 +41,7 @@ class FaultKind(enum.Enum):
     CA_FALLBACK = "ca_fallback"
 
 
-@dataclass
-class FaultOutcome:
+class FaultOutcome(NamedTuple):
     """Result of one page fault delivered back to the simulator."""
 
     #: Guest physical frame now backing the page.

@@ -27,7 +27,7 @@ from ..mem.physical import FrameState, PhysicalMemory
 from ..obs.histogram import Log2Histogram
 from ..obs.profile import PROFILER
 from ..obs.trace import tracepoint
-from ..pagetable.pte import COW, HUGE, PteFlags, pte_frame
+from ..pagetable.pte import COW, HUGE, PRESENT, PteFlags, pte_frame
 from ..sanitizer import FrameSanitizer, sanitizer_enabled
 from .fault import FaultKind, FaultOutcome, default_alloc
 from .process import Process
@@ -86,9 +86,14 @@ class GuestKernel:
         if config.sanitize or sanitizer_enabled():
             self.sanitizer = FrameSanitizer(name="guest")
             self.buddy.sanitizer = self.sanitizer
+        #: Resolved once, like the sanitizer: the environment is not
+        #: re-read on every fault.
+        self._check_invariants = config.check_invariants or invariants_enabled()
         self.stats = KernelStats()
         self.processes: Dict[int, Process] = {}
         self._next_pid = 1
+        #: frame -> number of mappings, for shared (forked) frames only;
+        #: a frame with no entry has one mapping.
         self._refcount: Dict[int, int] = {}
         self._unmap_observers: List[UnmapObserver] = []
         self.policy = EnablementPolicy(config.ptemagnet_memory_limit_bytes)
@@ -226,9 +231,9 @@ class GuestKernel:
         :class:`SegmentationFault` for addresses with no VMA.
 
         With invariant contracts enabled (``GuestConfig.check_invariants``
-        or the ``REPRO_INVARIANTS`` env flag, see :mod:`repro.invariants`),
-        the allocator, PaRT and page-table consistency checks run after
-        every fault and raise
+        or the ``REPRO_INVARIANTS`` env flag, read when the kernel is
+        built; see :mod:`repro.invariants`), the allocator, PaRT and
+        page-table consistency checks run after every fault and raise
         :class:`~repro.errors.InvariantViolation` on drift.
         """
         if _tp_fault_enter.enabled:
@@ -244,7 +249,7 @@ class GuestKernel:
                 frame=outcome.frame,
                 cycles=outcome.cycles,
             )
-        if self.config.check_invariants or invariants_enabled():
+        if self._check_invariants:
             check_fault_invariants(self, process, vpn)
         return outcome
 
@@ -271,8 +276,7 @@ class GuestKernel:
                 self.stats.fault_latencies.record(huge.cycles)
                 return huge
         outcome = self._allocate_for_fault(process, vpn)
-        process.page_table.map(vpn, outcome.frame, PteFlags.PRESENT)
-        self._refcount[outcome.frame] = 1
+        process.page_table.map(vpn, outcome.frame, PRESENT)
         process.faults += 1
         self.stats.faults += 1
         self.stats.fault_cycles += outcome.cycles
@@ -304,8 +308,7 @@ class GuestKernel:
             # (the latency-spike pathology the paper cites).
             self.stats.thp_fallback_faults += 1
             outcome = self._allocate_for_fault(process, vpn)
-            process.page_table.map(vpn, outcome.frame, PteFlags.PRESENT)
-            self._refcount[outcome.frame] = 1
+            process.page_table.map(vpn, outcome.frame, PRESENT)
             cycles = outcome.cycles + self.machine.compaction_stall_cycles
             return FaultOutcome(outcome.frame, cycles, FaultKind.THP_FALLBACK)
         process.page_table.map_huge(base, frame_base)
@@ -348,7 +351,6 @@ class GuestKernel:
             process.page_table.map(
                 base + offset, frame_base + offset, PteFlags.PRESENT
             )
-            self._refcount[frame_base + offset] = 1
             self._notify_unmap(process.pid, base + offset)
         self.stats.thp_splits += 1
 
@@ -439,8 +441,7 @@ class GuestKernel:
             self.stats.spurious_faults += 1
             return FaultOutcome(shared_frame, 0, FaultKind.SPURIOUS)
         new_frame = default_alloc(self.buddy, process.pid)
-        self._refcount[shared_frame] = refs - 1
-        self._refcount[new_frame] = 1
+        self._drop_ref(shared_frame, refs)
         process.page_table.update(vpn, new_frame, PteFlags.PRESENT)
         self._notify_unmap(process.pid, vpn)
         self.stats.cow_faults += 1
@@ -459,15 +460,22 @@ class GuestKernel:
             self.split_huge(process, vpn)
         self._release_page(process, vpn, process.page_table.unmap(vpn))
 
+    def _drop_ref(self, frame: int, refs: int) -> None:
+        """Drop one of the ``refs`` (at least 2) mappings of a shared
+        ``frame``; the entry goes once one mapping is left."""
+        if refs == 2:
+            del self._refcount[frame]
+        else:
+            self._refcount[frame] = refs - 1
+
     def _release_page(self, process: Process, vpn: int, frame: int) -> None:
         """Shoot down ``vpn``, just unmapped, and drop a reference to
         ``frame``; the last reference frees it."""
         self._notify_unmap(process.pid, vpn)
         refs = self._refcount.get(frame, 1)
         if refs > 1:
-            self._refcount[frame] = refs - 1
+            self._drop_ref(frame, refs)
             return
-        self._refcount.pop(frame, None)
         self.stats.pages_freed += 1
         if process.part is not None and self.ptemagnet is not None:
             if self.ptemagnet.free_page(
@@ -486,8 +494,8 @@ class GuestKernel:
     def run_reclaim(self) -> Optional[ReclaimReport]:
         """Give the reservation reclaim daemon a chance to run.
 
-        Called periodically by the simulation engine (the daemon wakes on a
-        watermark, §4.3). No-op on the default kernel.
+        The simulation engine calls it after each turn that ends below the
+        daemon's watermark (§4.3). No-op on the default kernel.
         """
         if self.reclaimer is None:
             return None

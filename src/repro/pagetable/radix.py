@@ -14,6 +14,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from ..errors import PageTableError
 from ..units import (
     BITS_PER_LEVEL,
+    PAGE_SHIFT,
     PT_INDEX_MASK,
     PT_LEVELS,
     PTES_PER_NODE,
@@ -113,19 +114,25 @@ class PageTable:
         Raises :class:`PageTableError` if ``vpn`` is already mapped (a real
         kernel would BUG on double-mapping without an unmap in between).
         """
-        indices = self._indices(vpn)
         node = self.root
-        for index in indices[:-1]:
+        level = self.levels
+        while level > 1:
+            index = (vpn >> ((level - 1) * BITS_PER_LEVEL)) & PT_INDEX_MASK
             child = node.children.get(index)
             if child is None:
-                child = PageTableNode(self._alloc_frame(), node.level - 1)
+                child = PageTableNode(self._alloc_frame(), level - 1)
                 node.children[index] = child
                 self.node_count += 1
             node = child
-        leaf_index = indices[-1]
-        if pte_present(node.entries.get(leaf_index, PTE_EMPTY)):
+            level -= 1
+        entries = node.entries
+        slot = vpn & PT_INDEX_MASK
+        pte = entries.get(slot)
+        if pte is not None and pte & PRESENT:
             raise PageTableError(f"vpn {vpn:#x} already mapped")
-        node.entries[leaf_index] = make_pte(pfn, int(flags) | PRESENT)
+        if pfn < 0:
+            raise ValueError("frame must be non-negative")
+        entries[slot] = (pfn << PAGE_SHIFT) | int(flags) | PRESENT
         self.mapped_pages += 1
         san = self.sanitizer
         if san is not None:

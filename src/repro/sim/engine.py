@@ -183,7 +183,7 @@ class WorkloadRun:
     def _access(self, op: AccessOp) -> None:
         vpn = self._vpn_for(op)
         if self.fast_forward:
-            if not self.process.page_table.is_mapped(vpn):
+            if self.process.page_table.lookup(vpn) is None:
                 outcome = self.kernel.handle_fault(self.process, vpn, op.write)
                 # Keep the host dimension consistent: the first real access
                 # would have EPT-faulted the frame in; do it eagerly here.
@@ -328,15 +328,19 @@ class Simulation:
     def turn(self) -> int:
         """One scheduler round plus a reclaim-daemon wakeup.
 
+        The daemon wakes only below its watermark (§4.3), so the
+        watermark is tested here, before the kernel gathers the PaRTs a
+        pass would walk.
+
         Turn boundaries also drive the observability plumbing: the tracer's
         turn counter, the ``sched.turn`` tracepoint, and any registered
         periodic samplers (which see post-reclaim state, so turn-cadence
         series match the legacy per-experiment sampling loops exactly).
         """
         executed = self.scheduler.turn()
-        kernel = self.kernel
-        if kernel.reclaimer is not None:
-            kernel.run_reclaim()
+        reclaimer = self.kernel.reclaimer
+        if reclaimer is not None and reclaimer.under_pressure:
+            self.kernel.run_reclaim()
         self.turns += 1
         TRACER.turn = self.turns
         if _tp_sched_turn.enabled:

@@ -24,6 +24,7 @@ from ..errors import SimulationError
 from ..mem.buddy import BuddyAllocator
 from ..mem.physical import FrameState, PhysicalMemory
 from ..pagetable.radix import PageTable
+from ..units import PAGE_SHIFT
 
 
 @dataclass
@@ -107,9 +108,9 @@ class HostKernel:
             raise SimulationError(
                 f"gfn {gfn} outside VM {vm.vm_id} guest RAM ({vm.guest_frames} frames)"
             )
-        hfn = vm.host_pt.translate(gfn)
-        if hfn is not None:
-            return hfn
+        pte = vm.host_pt.lookup(gfn)
+        if pte is not None:
+            return pte >> PAGE_SHIFT
         hfn = self.buddy.alloc(0, owner=vm.vm_id, state=FrameState.USER)
         vm.host_pt.map(gfn, hfn)
         self.stats.ept_faults += 1

@@ -15,6 +15,9 @@ import numpy as np
 
 from .base import AccessOp
 
+#: Draws per numpy call in :func:`zipf_page_sequence`.
+ZIPF_CHUNK = 65_536
+
 
 def sequential_touch(
     region: str, npages: int, blocks_per_page: int = 1, write: bool = True
@@ -53,6 +56,11 @@ def zipf_page_sequence(
     sampled with probability proportional to ``1 / rank**alpha``. Uses
     numpy for the heavy lifting; the permutation and draws are fully
     seeded from ``rng``.
+
+    Ranks are drawn :data:`ZIPF_CHUNK` at a time from the one generator.
+    ``choice(..., p=)`` spends one uniform double per draw, so the chunks
+    concatenate to exactly the one-shot draw, while the numpy temporaries
+    stay bounded however long the stream is.
     """
     if npages <= 0 or count < 0:
         raise ValueError("npages must be positive, count non-negative")
@@ -61,8 +69,13 @@ def zipf_page_sequence(
     weights = ranks ** (-alpha)
     weights /= weights.sum()
     permutation = np_rng.permutation(npages)
-    draws = np_rng.choice(npages, size=count, p=weights)
-    return [int(permutation[d]) for d in draws]
+    pages: List[int] = []
+    for start in range(0, count, ZIPF_CHUNK):
+        draws = np_rng.choice(
+            npages, size=min(ZIPF_CHUNK, count - start), p=weights
+        )
+        pages.extend(permutation[draws].tolist())
+    return pages
 
 
 def random_pages(

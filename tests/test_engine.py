@@ -225,7 +225,7 @@ class TestColocationEffects:
 
 
 # --------------------------------------------------------------------- #
-# Output pin: canonical snapshots of three small scenarios
+# Output pin: canonical snapshots of four small scenarios
 # --------------------------------------------------------------------- #
 
 
@@ -246,6 +246,27 @@ def _colocated_snapshot():
     bench.start_measurement()
     sim.run_until_finished(bench)
     sim.stop(churn)
+    result = sim.result_for(bench)
+    return snapshot_simulation("bench", sim, result).to_dict()
+
+
+def _ptemagnet_reclaim_snapshot():
+    """The colocated scenario on a PTEMagnet guest whose reclaim
+    watermark sits above its free fraction: the fast-forwarded churn
+    faults through the PaRT and frees whole reservations, and the reclaim
+    daemon steals reserved pages on 30 of the 67 turns."""
+    sim = Simulation(
+        small_platform(ptemagnet_enabled=True, reclaim_threshold=0.7)
+    )
+    churn = sim.add_workload(StressNg(seed=1))
+    churn.fast_forward = True
+    bench = sim.add_workload(
+        LowPressureSpec("leela", 0, accesses=4000, footprint=64)
+    )
+    bench.start_measurement()
+    sim.run_until_finished(bench)
+    sim.stop(churn)
+    assert len(sim.kernel.stats.reclaim_reports) == 30
     result = sim.result_for(bench)
     return snapshot_simulation("bench", sim, result).to_dict()
 
@@ -305,12 +326,16 @@ PINNED_DIGESTS = {
     "mixed-write": (
         "d84167360542f8ae5ae3010e494c3c92fa92e7b4a9562ec025d782c63391082c"
     ),
+    "ptemagnet-reclaim": (
+        "4a49bd28d50b18a7d4b742d6ced660395cc816f2015d3d10a19a209f0245c687"
+    ),
 }
 
 SCENARIOS = {
     "colocated": _colocated_snapshot,
     "tlb-pressure": _tlb_pressure_snapshot,
     "mixed-write": _mixed_write_snapshot,
+    "ptemagnet-reclaim": _ptemagnet_reclaim_snapshot,
 }
 
 

@@ -100,6 +100,42 @@ class TestCow:
         assert kernel.buddy.free_frames == free_at_boot
 
 
+class TestRefcounts:
+    """Only shared frames have a refcount entry; a frame without one has
+    exactly one mapping."""
+
+    def test_faults_store_no_refcount(self):
+        kernel = make_kernel()
+        parent_with_pages(kernel, npages=16)
+        assert kernel._refcount == {}
+
+    def test_fork_adds_an_entry_of_two_per_mapped_page(self):
+        kernel = make_kernel()
+        parent, vma = parent_with_pages(kernel, npages=16)
+        fork(kernel, parent)
+        frames = {parent.page_table.translate(vpn) for vpn in vma.pages()}
+        assert kernel._refcount == dict.fromkeys(frames, 2)
+
+    def test_cow_breaks_in_both_processes_empty_the_table(self):
+        kernel = make_kernel()
+        parent, vma = parent_with_pages(kernel, npages=16)
+        child = fork(kernel, parent)
+        for vpn in vma.pages():
+            assert kernel.handle_fault(child, vpn, write=True).kind is FaultKind.COW
+        assert kernel._refcount == {}
+        for vpn in vma.pages():
+            outcome = kernel.handle_fault(parent, vpn, write=True)
+            assert outcome.kind is FaultKind.SPURIOUS
+        assert kernel._refcount == {}
+
+    def test_child_exit_drops_shared_entries(self):
+        kernel = make_kernel()
+        parent, _vma = parent_with_pages(kernel, npages=16)
+        child = fork(kernel, parent)
+        kernel.exit_process(child)
+        assert kernel._refcount == {}
+
+
 class TestForkWithPTEMagnet:
     def test_child_gets_own_part(self):
         kernel = make_kernel(ptemagnet=True)

@@ -146,6 +146,28 @@ def test_set_order_allows_sorted_set():
     assert rules_hit(src) == []
 
 
+@pytest.mark.parametrize("op", ["|", "&", "-", "^"])
+def test_set_order_flags_set_algebra(op):
+    # The obs-diff shape: a union of two key sets, iterated unsorted.
+    src = f"for name in set(before) {op} set(after):\n    emit(name)\n"
+    assert rules_hit(src) == ["set-order"]
+
+
+def test_set_order_flags_set_algebra_with_one_set_operand():
+    src = "names = keys - {'total'}\nout = [n for n in names]\n"
+    assert rules_hit(src) == ["set-order"]
+
+
+def test_set_order_allows_sorted_set_algebra():
+    src = "for name in sorted(set(before) | set(after)):\n    emit(name)\n"
+    assert rules_hit(src) == []
+
+
+def test_set_order_ignores_integer_algebra():
+    src = "for i in range(a | b):\n    f(i)\nmask = flags & 7\nfor x in mask:\n    f(x)\n"
+    assert rules_hit(src) == []
+
+
 def test_set_order_flags_iteration_over_set_variable():
     src = "pending = set()\nfor frame in pending:\n    free(frame)\n"
     assert rules_hit(src) == ["set-order"]

@@ -41,6 +41,22 @@ class TestStateTransitions:
             mem.state_of(frame) is FrameState.RESERVED for frame in range(4, 8)
         )
 
+    def test_set_range_state_out_of_range_changes_nothing(self):
+        # The range is checked before any frame moves; the error names
+        # the first frame outside, as a frame-by-frame check would.
+        mem = PhysicalMemory(16)
+        mem.set_state(14, FrameState.USER, owner=3)
+        with pytest.raises(InvalidAddressError, match=r"frame 16 outside \[0, 16\)"):
+            mem.set_range_state(12, 8, FrameState.KERNEL, owner=1)
+        with pytest.raises(InvalidAddressError, match="frame -2 outside"):
+            mem.set_range_state(-2, 4, FrameState.FREE)
+        with pytest.raises(InvalidAddressError, match="frame 20 outside"):
+            mem.set_range_state(20, 1, FrameState.RESERVED)
+        assert [mem.state_of(frame) for frame in range(16)] == (
+            [FrameState.FREE] * 14 + [FrameState.USER, FrameState.FREE]
+        )
+        assert mem.owner_of(14) == 3
+
     def test_state_change_without_owner_clears_owner(self):
         mem = PhysicalMemory(16)
         mem.set_state(5, FrameState.USER, owner=9)

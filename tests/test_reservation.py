@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.part import PageReservationTable
+from repro.core.part import PART_LEVELS, PageReservationTable
 from repro.core.reservation import Reservation
 from repro.errors import ReservationError
 from repro.units import RESERVATION_PAGES
@@ -154,6 +154,57 @@ class TestPartTree:
         part.insert(Reservation(group=3, base_frame=0))
         part.lookup(3)
         assert part.total_lock_acquisitions() >= 8  # 4 insert + 4 lookup
+
+    # Exact lock counts: each query takes the lock of every node it
+    # reaches, root first, and removal takes none.
+
+    def test_lookup_miss_at_root_takes_root_lock_only(self):
+        part = PageReservationTable()
+        assert part.lookup(3) is None
+        assert part.root.lock.acquisitions == 1
+        assert part.total_lock_acquisitions() == 1
+
+    def test_insert_takes_one_lock_per_level(self):
+        part = PageReservationTable()
+        entry = Reservation(group=3, base_frame=0)
+        part.insert(entry)
+        assert part.total_lock_acquisitions() == PART_LEVELS
+        assert part.root.lock.acquisitions == 1
+        assert entry.lock.acquisitions == 0
+
+    def test_lookup_hit_takes_one_lock_per_level(self):
+        part = PageReservationTable()
+        entry = Reservation(group=3, base_frame=0)
+        part.insert(entry)
+        assert part.lookup(3) is entry
+        assert part.total_lock_acquisitions() == 2 * PART_LEVELS
+        assert part.root.lock.acquisitions == 2
+        assert entry.lock.acquisitions == 0
+        assert (part.lookups, part.lookup_hits) == (1, 1)
+
+    def test_lookup_misses_count_the_nodes_reached(self):
+        part = PageReservationTable()
+        part.insert(Reservation(group=3, base_frame=0))
+        # Empty slot of the existing leaf: every level's lock.
+        assert part.lookup(4) is None
+        assert part.total_lock_acquisitions() == 2 * PART_LEVELS
+        # No level-1 node for slot 1 of the level-2 node: three locks.
+        assert part.lookup(1 << 9) is None
+        assert part.total_lock_acquisitions() == 2 * PART_LEVELS + 3
+        # Another root slot: the root lock only.
+        assert part.lookup(1 << 27) is None
+        assert part.total_lock_acquisitions() == 2 * PART_LEVELS + 4
+        assert (part.lookups, part.lookup_hits) == (3, 0)
+
+    def test_remove_takes_no_lock(self):
+        part = PageReservationTable()
+        part.insert(Reservation(group=3, base_frame=0))
+        part.insert(Reservation(group=4, base_frame=8))
+        before = part.total_lock_acquisitions()
+        part.remove(3)
+        # The shared leaf keeps group 4, so no node was pruned either.
+        assert part.total_lock_acquisitions() == before == 2 * PART_LEVELS
+        assert part.node_count == PART_LEVELS
 
     @given(st.sets(st.integers(min_value=0, max_value=(1 << 33) - 1), max_size=40))
     @settings(max_examples=30, deadline=None)

@@ -22,6 +22,7 @@ from repro.workloads import (
 )
 from repro.workloads.spec import Mcf, Xz
 from repro.workloads.synth import (
+    ZIPF_CHUNK,
     local_runs,
     random_pages,
     sequential_touch,
@@ -72,6 +73,27 @@ class TestSynthGenerators:
         counts = Counter(pages)
         top_share = sum(c for _p, c in counts.most_common(50)) / 5000
         assert top_share > 0.3  # hot set dominates
+
+    @pytest.mark.parametrize(
+        "count", [1000, ZIPF_CHUNK, ZIPF_CHUNK + 1, 2 * ZIPF_CHUNK + 7]
+    )
+    def test_zipf_chunks_match_one_shot_draw(self, count):
+        # Below a chunk boundary, at one and across one, the chunked
+        # draws equal a single choice() call on the same generator.
+        import random
+
+        import numpy as np
+
+        rng = random.Random(9)
+        np_rng = np.random.default_rng(random.Random(9).getrandbits(63))
+        weights = np.arange(1, 901, dtype=np.float64) ** -1.0
+        weights /= weights.sum()
+        permutation = np_rng.permutation(900)
+        expected = [
+            int(permutation[d])
+            for d in np_rng.choice(900, size=count, p=weights)
+        ]
+        assert zipf_page_sequence(rng, 900, count, alpha=1.0) == expected
 
     def test_zipf_validation(self):
         import random
