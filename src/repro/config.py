@@ -11,7 +11,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .units import GB, KB, MB, PAGE_SIZE
+from .errors import ConfigError
+from .units import (
+    GB,
+    KB,
+    MAX_RESERVATION_ORDER,
+    MB,
+    PAGE_SIZE,
+    PT_LEVELS_RANGE,
+)
+
+
+def _require(ok: bool, config: object, name: str, rule: str) -> None:
+    """Raise :class:`ConfigError` naming ``config``'s field ``name``, its
+    value and the ``rule`` it breaks, unless ``ok``."""
+    if not ok:
+        value = getattr(config, name)
+        raise ConfigError(f"{type(config).__name__}.{name}={value!r}: {rule}")
+
+
+def _check_memory_and_levels(config) -> None:
+    """The checks :class:`HostConfig` and :class:`GuestConfig` share."""
+    _require(
+        config.memory_bytes >= PAGE_SIZE,
+        config,
+        "memory_bytes",
+        f"must be at least one page ({PAGE_SIZE} bytes)",
+    )
+    _require(
+        config.pt_levels in PT_LEVELS_RANGE,
+        config,
+        "pt_levels",
+        f"must be in [{PT_LEVELS_RANGE.start}, {PT_LEVELS_RANGE.stop - 1}]",
+    )
 
 
 @dataclass(frozen=True)
@@ -24,8 +56,10 @@ class CacheConfig:
     latency_cycles: int
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.associativity <= 0:
-            raise ValueError("cache size and associativity must be positive")
+        _require(self.size_bytes > 0, self, "size_bytes", "must be positive")
+        _require(
+            self.associativity > 0, self, "associativity", "must be positive"
+        )
 
 
 @dataclass(frozen=True)
@@ -37,10 +71,16 @@ class TlbConfig:
     associativity: int
 
     def __post_init__(self) -> None:
-        if self.entries <= 0 or self.associativity <= 0:
-            raise ValueError("TLB entries and associativity must be positive")
-        if self.entries % self.associativity:
-            raise ValueError("TLB entries must be a multiple of associativity")
+        _require(self.entries > 0, self, "entries", "must be positive")
+        _require(
+            self.associativity > 0, self, "associativity", "must be positive"
+        )
+        _require(
+            self.entries % self.associativity == 0,
+            self,
+            "entries",
+            f"must be a multiple of associativity {self.associativity}",
+        )
 
 
 @dataclass(frozen=True)
@@ -50,8 +90,12 @@ class PwcConfig:
     entries_per_level: int = 32
 
     def __post_init__(self) -> None:
-        if self.entries_per_level < 0:
-            raise ValueError("PWC entries must be non-negative")
+        _require(
+            self.entries_per_level >= 0,
+            self,
+            "entries_per_level",
+            "must be non-negative",
+        )
 
 
 @dataclass(frozen=True)
@@ -117,6 +161,9 @@ class HostConfig:
     memory_bytes: int = 512 * MB
     pt_levels: int = 4
 
+    def __post_init__(self) -> None:
+        _check_memory_and_levels(self)
+
     @property
     def frames(self) -> int:
         """Number of host physical frames."""
@@ -172,11 +219,25 @@ class GuestConfig:
     sanitize: bool = False
 
     def __post_init__(self) -> None:
+        _check_memory_and_levels(self)
+        _require(self.vcpus > 0, self, "vcpus", "must be positive")
+        _require(
+            0 <= self.reclaim_threshold <= 1,
+            self,
+            "reclaim_threshold",
+            "must be a fraction in [0, 1]",
+        )
+        _require(
+            0 < self.ptemagnet_reservation_order <= MAX_RESERVATION_ORDER,
+            self,
+            "ptemagnet_reservation_order",
+            f"must be in (0, {MAX_RESERVATION_ORDER}]",
+        )
         modes = sum(
             (self.ptemagnet_enabled, self.thp_enabled, self.ca_paging_enabled)
         )
         if modes > 1:
-            raise ValueError(
+            raise ConfigError(
                 "at most one of ptemagnet/thp/ca_paging may be enabled"
             )
 
@@ -203,7 +264,7 @@ class GuestConfig:
         import dataclasses
 
         if mode not in ("default", "ptemagnet", "thp", "ca"):
-            raise ValueError(f"unknown allocator mode {mode!r}")
+            raise ConfigError(f"unknown allocator mode {mode!r}")
         return dataclasses.replace(
             self,
             ptemagnet_enabled=mode == "ptemagnet",

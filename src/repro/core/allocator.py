@@ -29,7 +29,7 @@ from ..mem.buddy import BuddyAllocator
 from ..mem.physical import FrameState
 from ..obs.profile import PROFILER
 from ..obs.trace import tracepoint
-from ..units import RESERVATION_ORDER
+from ..units import MAX_RESERVATION_ORDER, RESERVATION_ORDER
 from .part import PageReservationTable
 from .reservation import Reservation
 
@@ -84,8 +84,10 @@ class PTEMagnetAllocator:
         buddy: BuddyAllocator,
         reservation_order: int = RESERVATION_ORDER,
     ) -> None:
-        if not 0 < reservation_order <= 6:
-            raise ValueError("reservation_order must be in (0, 6]")
+        if not 0 < reservation_order <= MAX_RESERVATION_ORDER:
+            raise ValueError(
+                f"reservation_order must be in (0, {MAX_RESERVATION_ORDER}]"
+            )
         self.buddy = buddy
         self.reservation_order = reservation_order
         self.reservation_pages = 1 << reservation_order

@@ -65,6 +65,16 @@ class SanitizerViolation(ReproError):
     """
 
 
+class ConfigError(ReproError, ValueError):
+    """A configuration value is out of range.
+
+    Raised when the config object is built, with a message that names
+    the field and its value, so a bad platform fails before any
+    simulator component sees it. Also a ``ValueError``, which is what
+    out-of-range arguments raised before this type existed.
+    """
+
+
 class SimulationError(ReproError):
     """The simulation driver was configured or advanced incorrectly."""
 

@@ -16,6 +16,7 @@ it subsumes the older ad-hoc per-experiment sampling loops.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -66,7 +67,10 @@ class PeriodicSampler:
     ----------
     simulation:
         The simulation to probe (duck-typed: needs ``turns`` and
-        ``turn()``).
+        ``turn()``). Held through a weak reference: the simulation
+        holds its samplers, and a strong reference back would keep both
+        alive until a full cycle collection (docs/internals.md §13,
+        "Memory lifetime").
     every_turns:
         Sample whenever ``simulation.turns`` is a multiple of this.
     every_cycles:
@@ -88,7 +92,7 @@ class PeriodicSampler:
             raise ValueError("turn cadence must be positive")
         if every_cycles is not None and every_cycles <= 0:
             raise ValueError("cycle cadence must be positive")
-        self.simulation = simulation
+        self._simulation = weakref.ref(simulation)
         self.every_turns = every_turns
         self.every_cycles = every_cycles
         self.series: Dict[str, TimeSeries] = {}
@@ -105,9 +109,10 @@ class PeriodicSampler:
 
     def sample(self) -> None:
         """Take one sample of every probe right now."""
-        turn = self.simulation.turns
+        simulation = self._simulation()
+        turn = simulation.turns
         for name, probe in self._probes.items():
-            value = probe(self.simulation)
+            value = probe(simulation)
             self.series[name].points.append((turn, value))
             tp = self._tracepoints[name]
             if tp.enabled:
@@ -118,7 +123,7 @@ class PeriodicSampler:
         """Engine hook: sample if the cadence says this turn is due."""
         if (
             self.every_turns is not None
-            and self.simulation.turns % self.every_turns == 0
+            and self._simulation().turns % self.every_turns == 0
         ):
             self.sample()
             self._last_sample_cycles = TRACER.now
@@ -138,10 +143,11 @@ class PeriodicSampler:
         The sampler must already be registered on the simulation (via
         ``add_sampler``) for the cadence samples to fire.
         """
+        simulation = self._simulation()
         for _ in range(max_turns):
             if done():
                 break
-            self.simulation.turn()
+            simulation.turn()
         self.sample()
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..config import GuestConfig, MachineConfig
@@ -148,9 +149,12 @@ class GuestKernel:
     def _new_page_table(self):
         from ..pagetable.radix import PageTable
 
+        # Callbacks over the allocator, not the kernel: a closure over
+        # ``self`` would tie each page table back to its kernel in a
+        # reference cycle (docs/internals.md §13, "Memory lifetime").
         return PageTable(
-            frame_allocator=lambda: self.buddy.alloc(
-                0, owner=0, state=FrameState.PAGE_TABLE
+            frame_allocator=partial(
+                self.buddy.alloc, 0, owner=0, state=FrameState.PAGE_TABLE
             ),
             frame_releaser=self.buddy.free,
             levels=self.config.pt_levels,

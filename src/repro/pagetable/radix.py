@@ -17,6 +17,7 @@ from ..units import (
     PAGE_SHIFT,
     PT_INDEX_MASK,
     PT_LEVELS,
+    PT_LEVELS_RANGE,
     PTES_PER_NODE,
     pt_indices,
     pt_indices_for,
@@ -81,7 +82,7 @@ class PageTable:
         frame_releaser: Optional[Callable[[int], None]] = None,
         levels: int = PT_LEVELS,
     ) -> None:
-        if not 2 <= levels <= 6:
+        if levels not in PT_LEVELS_RANGE:
             raise PageTableError(f"unsupported page-table depth {levels}")
         self.levels = levels
         self._alloc_frame = frame_allocator

@@ -14,6 +14,7 @@ Figures 6/7 compare between kernels.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..config import PlatformConfig
@@ -260,6 +261,19 @@ class WorkloadRun:
             del self._regions[op.region]
 
 
+def _shoot_down(cores: Dict[int, CoreContext], pid: int, vpn: int) -> None:
+    """Unmap observer: drop ``vpn`` from the core that runs ``pid``.
+
+    :class:`Simulation` registers ``partial(_shoot_down, cores)`` with its
+    guest kernel; the kernel calls it on every unmap or remap (the
+    shootdown contract, docs/internals.md §13). Processes with no run,
+    such as a fork child, have no core to shoot down.
+    """
+    core = cores.get(pid)
+    if core is not None:
+        core.invalidate_translation(vpn)
+
+
 class Simulation:
     """A complete simulated platform hosting colocated workloads."""
 
@@ -274,10 +288,16 @@ class Simulation:
         self.machine = Machine(platform.machine)
         self.scheduler = RoundRobinScheduler()
         self.runs: List[WorkloadRun] = []
-        self._runs_by_pid: Dict[int, WorkloadRun] = {}
         self.turns = 0
         self._samplers: List[PeriodicSampler] = []
-        self.kernel.add_unmap_observer(self._on_unmap)
+        #: pid -> the core its run executes on. The kernel's unmap
+        #: observer holds this map, not the Simulation, so the kernel
+        #: does not lead back here and refcounting frees a finished
+        #: simulation whole (docs/internals.md §13, "Memory lifetime").
+        self._cores_by_pid: Dict[int, CoreContext] = {}
+        self.kernel.add_unmap_observer(
+            partial(_shoot_down, self._cores_by_pid)
+        )
         if TRACER.sample_interval_cycles:
             self.add_sampler(
                 standard_sampler(self, TRACER.sample_interval_cycles)
@@ -306,14 +326,9 @@ class Simulation:
         )
         run = WorkloadRun(workload, process, core, walker, self.kernel, weight)
         self.runs.append(run)
-        self._runs_by_pid[process.pid] = run
+        self._cores_by_pid[process.pid] = core
         self.scheduler.add(run)
         return run
-
-    def _on_unmap(self, pid: int, vpn: int) -> None:
-        run = self._runs_by_pid.get(pid)
-        if run is not None:
-            run.core.invalidate_translation(vpn)
 
     def add_sampler(self, sampler: PeriodicSampler) -> PeriodicSampler:
         """Register a :class:`~repro.obs.sampler.PeriodicSampler` to be

@@ -33,6 +33,9 @@ PTES_PER_CACHE_BLOCK = CACHE_BLOCK_SIZE // PTE_SIZE
 
 #: Number of radix-tree levels in an x86-64 page table.
 PT_LEVELS = 4
+#: Page-table depths the model supports: 4, la57's 5, and others for
+#: ablations.
+PT_LEVELS_RANGE = range(2, 7)
 #: Translation bits consumed per page-table level.
 BITS_PER_LEVEL = 9
 #: Fan-out of one page-table node: 2**9 = 512 entries.
@@ -47,6 +50,8 @@ RESERVATION_PAGES = PTES_PER_CACHE_BLOCK
 RESERVATION_BYTES = RESERVATION_PAGES * PAGE_SIZE
 #: log2 of the reservation size in pages (buddy order of a reservation).
 RESERVATION_ORDER = RESERVATION_PAGES.bit_length() - 1
+#: Largest reservation order the PTEMagnet allocator supports (64 pages).
+MAX_RESERVATION_ORDER = 6
 
 #: Virtual-address bits covered by a 4-level page table (x86-64 canonical).
 VA_BITS = PAGE_SHIFT + PT_LEVELS * BITS_PER_LEVEL  # 48

@@ -17,6 +17,7 @@ occupies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional
 
 from ..config import HostConfig
@@ -79,8 +80,12 @@ class HostKernel:
                 "guest RAM exceeds host RAM: the host could only back it "
                 "with swap, which this model does not include"
             )
+        # Callbacks over the allocator, not bound methods of the host: a
+        # VM's page table must not lead back to its HostKernel.
         host_pt = PageTable(
-            frame_allocator=self._alloc_pt_frame,
+            frame_allocator=partial(
+                self.buddy.alloc, 0, owner=0, state=FrameState.PAGE_TABLE
+            ),
             frame_releaser=self.buddy.free,
             levels=self.config.pt_levels,
         )
@@ -88,9 +93,6 @@ class HostKernel:
         self._vms[vm.vm_id] = vm
         self._next_vm_id += 1
         return vm
-
-    def _alloc_pt_frame(self) -> int:
-        return self.buddy.alloc(0, owner=0, state=FrameState.PAGE_TABLE)
 
     # ------------------------------------------------------------------ #
     # Lazy backing (EPT-fault handling)

@@ -116,6 +116,55 @@ class TestRunCells:
         )
 
 
+def _module_switches():
+    """Every process-wide switch a cell could leave changed behind it."""
+    from repro import invariants, sanitizer
+    from repro.obs.profile import PROFILER
+    from repro.obs.trace import TRACER
+
+    return {
+        "sanitizer_enabled": sanitizer.sanitizer_enabled(),
+        "sanitizer._forced": sanitizer._forced,
+        "invariants_enabled": invariants.invariants_enabled(),
+        "invariants._forced": invariants._forced,
+        "PROFILER.enabled": PROFILER.enabled,
+        "TRACER.active": TRACER.active,
+        "TRACER sinks": list(TRACER._sinks),
+        "TRACER categories": TRACER.enabled_categories(),
+        "TRACER.sample_interval_cycles": TRACER.sample_interval_cycles,
+    }
+
+
+class TestRunCellInProcess:
+    def test_run_cell_leaves_module_switches_alone(self, monkeypatch):
+        """``--jobs 1`` runs every cell in the parent process, so a switch
+        one cell flips would change every cell run after it."""
+        from repro import invariants, sanitizer
+        from repro.obs.profile import PROFILER
+        from repro.obs.remote import CaptureSpec
+        from repro.obs.trace import TRACER
+        from repro.parallel import run_cell
+
+        # Start from no override and observability off, whatever earlier
+        # in-process runs left, so any switch a cell flips shows here.
+        monkeypatch.setattr(sanitizer, "_forced", None)
+        monkeypatch.setattr(invariants, "_forced", None)
+        TRACER.reset()
+        PROFILER.reset()
+        before = _module_switches()
+        spec = CaptureSpec(
+            trace=True,
+            categories=("sample",),
+            sample_interval_cycles=1_000_000,
+            profile=True,
+        )
+        _, _, docs, _, capsule = run_cell("table1", 0, spec)
+        # The cell simulated, sampled and profiled under its capsule.
+        assert docs and capsule["series"] and capsule["profile"]
+        assert run_cell("table2", 0)[4] is None
+        assert _module_switches() == before
+
+
 def _strip_elapsed(text):
     """Normalize the wall-clock-dependent report lines."""
     return re.sub(r": \d+\.\d+s\]", ": Xs]", text)

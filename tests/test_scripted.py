@@ -12,6 +12,7 @@ from repro.config import (
     TlbConfig,
 )
 from repro.core.policy import EnablementPolicy
+from repro.errors import ConfigError
 from repro.units import MB
 from repro.workloads import (
     AccessOp,
@@ -104,6 +105,25 @@ class TestConfigValidation:
     def test_pwc_config_rejects_negative(self):
         with pytest.raises(ValueError):
             PwcConfig(-1)
+
+    @pytest.mark.parametrize(
+        "config, name, value",
+        [
+            (HostConfig, "memory_bytes", 1000),
+            (HostConfig, "pt_levels", 7),
+            (GuestConfig, "memory_bytes", 1000),
+            (GuestConfig, "pt_levels", 1),
+            (GuestConfig, "reclaim_threshold", 1.5),
+            (GuestConfig, "ptemagnet_reservation_order", 12),
+            (GuestConfig, "vcpus", 0),
+        ],
+    )
+    def test_out_of_range_field_fails_when_built(self, config, name, value):
+        """The config itself rejects the value, before any Simulation
+        component would, and the message names the field and value."""
+        with pytest.raises(ConfigError) as excinfo:
+            config(**{name: value})
+        assert f"{config.__name__}.{name}={value!r}:" in str(excinfo.value)
 
     def test_with_ptemagnet_preserves_fields(self):
         guest = GuestConfig(
