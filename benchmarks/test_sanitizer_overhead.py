@@ -20,13 +20,11 @@ measured overhead ratio's denominator, keeping the test conservative.
 
 import time
 
+import pytest
+
 from repro.config import GuestConfig, HostConfig, PlatformConfig
 from repro.metrics.report import Table
-from repro.sanitizer import (
-    FrameSanitizer,
-    enable_sanitizer,
-    reset_sanitizer_override,
-)
+from repro.sanitizer import ENV_FLAG, FrameSanitizer
 from repro.sim.engine import Simulation
 from repro.units import MB
 from repro.workloads import ScriptedWorkload
@@ -106,21 +104,17 @@ def _count_hook_sites():
     """
     import repro.os.kernel as kernel_mod
 
-    original = kernel_mod.FrameSanitizer
-    kernel_mod.FrameSanitizer = _CountingSanitizer
-    enable_sanitizer(True)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_mod, "FrameSanitizer", _CountingSanitizer)
+        patch.setenv(ENV_FLAG, "1")
         sim = _make_sim()
         run = sim.add_workload(ScriptedWorkload.touch_region("bench", PAGES))
         sim.run_until_finished(run)
         return sim.kernel.sanitizer.hook_calls
-    finally:
-        reset_sanitizer_override()
-        kernel_mod.FrameSanitizer = original
 
 
-def test_disabled_sanitizer_overhead_within_two_percent():
-    reset_sanitizer_override()
+def test_disabled_sanitizer_overhead_within_two_percent(monkeypatch):
+    monkeypatch.delenv(ENV_FLAG, raising=False)
     reference_seconds = _best_of(_run_workload)
 
     guard_checks = _count_hook_sites()
@@ -159,18 +153,18 @@ def test_disabled_sanitizer_overhead_within_two_percent():
 
 def _measured_counters(sanitize: bool):
     """Counters of one deterministic run, with/without the sanitizer."""
-    if sanitize:
-        enable_sanitizer(True)
-    try:
-        sim = _make_sim()
-        run = sim.add_workload(ScriptedWorkload.touch_region("bench", PAGES))
-        sim.run_until_finished(run)
+    with pytest.MonkeyPatch.context() as patch:
         if sanitize:
-            assert sim.kernel.sanitizer is not None
-            assert sim.kernel.sanitizer.violations == 0
-        return sim.result_for(run).counters
-    finally:
-        reset_sanitizer_override()
+            patch.setenv(ENV_FLAG, "1")
+        else:
+            patch.delenv(ENV_FLAG, raising=False)
+        sim = _make_sim()
+    run = sim.add_workload(ScriptedWorkload.touch_region("bench", PAGES))
+    sim.run_until_finished(run)
+    if sanitize:
+        assert sim.kernel.sanitizer is not None
+        assert sim.kernel.sanitizer.violations == 0
+    return sim.result_for(run).counters
 
 
 def test_sanitizer_only_observes_counters_identical():

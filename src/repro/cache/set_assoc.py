@@ -137,8 +137,3 @@ class SetAssociativeCache:
     def occupancy(self) -> int:
         """Number of resident blocks (O(1): incrementally maintained)."""
         return self._occupancy
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -19,6 +19,7 @@ from .units import (
     MB,
     PAGE_SIZE,
     PT_LEVELS_RANGE,
+    RESERVED_BASE_FRAMES,
 )
 
 
@@ -33,10 +34,11 @@ def _require(ok: bool, config: object, name: str, rule: str) -> None:
 def _check_memory_and_levels(config) -> None:
     """The checks :class:`HostConfig` and :class:`GuestConfig` share."""
     _require(
-        config.memory_bytes >= PAGE_SIZE,
+        config.memory_bytes > RESERVED_BASE_FRAMES * PAGE_SIZE,
         config,
         "memory_bytes",
-        f"must be at least one page ({PAGE_SIZE} bytes)",
+        f"must exceed the {RESERVED_BASE_FRAMES} kernel-reserved pages "
+        f"({RESERVED_BASE_FRAMES * PAGE_SIZE} bytes)",
     )
     _require(
         config.pt_levels in PT_LEVELS_RANGE,
@@ -207,16 +209,6 @@ class GuestConfig:
     #: Per-CPU page caches (Linux pcp lists) in front of the buddy core;
     #: off by default, on for the pcp ablation.
     pcp_enabled: bool = False
-    #: Debug mode: run the :mod:`repro.invariants` runtime contracts
-    #: (buddy free-list disjointness, PaRT alignment, page-table level
-    #: consistency) after every page fault. O(live state) per fault; the
-    #: ``REPRO_INVARIANTS`` env flag enables the same checks globally.
-    check_invariants: bool = False
-    #: Debug mode: attach the :mod:`repro.sanitizer` shadow-state checker
-    #: to the guest memory stack (frame lifecycle mirrored at every
-    #: alloc/free/reserve/map site; violations raise immediately). The
-    #: ``REPRO_SANITIZE`` env flag enables the same checker globally.
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         _check_memory_and_levels(self)

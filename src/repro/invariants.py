@@ -17,16 +17,11 @@ reserved-but-unmapped total across all live PaRTs.
 
 Enabling the contracts
 ----------------------
-The checks run after every page fault when either
-
-* :attr:`repro.config.GuestConfig.check_invariants` is ``True``, or
-* the ``REPRO_INVARIANTS`` environment variable is set to ``1``/``true``/
-  ``yes``/``on`` (overridable in-process via :func:`enable_invariants`).
-
-Both are read once, when a :class:`~repro.os.kernel.GuestKernel` is
-built, as the sanitizer switch is: setting the variable or calling
-:func:`enable_invariants` affects kernels built afterwards, not a kernel
-that already exists.
+The checks run after every page fault when the ``REPRO_INVARIANTS``
+environment variable is set to ``1``/``true``/``yes``/``on``. It is the
+only switch, read once when a :class:`~repro.os.kernel.GuestKernel` is
+built, as the sanitizer's is: setting it affects kernels built
+afterwards, not a kernel that already exists.
 
 Like Linux's ``CONFIG_DEBUG_VM``, the per-fault hook
 (:func:`check_fault_invariants`) is *path-local* -- O(tree depth) checks
@@ -42,7 +37,7 @@ All violations raise :class:`repro.errors.InvariantViolation`.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from .errors import InvariantViolation
 from .mem.physical import FrameState
@@ -59,26 +54,9 @@ ENV_FLAG = "REPRO_INVARIANTS"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
-#: In-process override: ``None`` defers to the environment variable.
-_forced: Optional[bool] = None
-
-
-def enable_invariants(enabled: bool = True) -> None:
-    """Force the contracts on (or off), overriding :data:`ENV_FLAG`."""
-    global _forced
-    _forced = enabled
-
-
-def reset_invariants_override() -> None:
-    """Drop any :func:`enable_invariants` override; the env flag rules."""
-    global _forced
-    _forced = None
-
 
 def invariants_enabled() -> bool:
-    """True when the runtime contracts are globally enabled."""
-    if _forced is not None:
-        return _forced
+    """True when :data:`ENV_FLAG` turns the runtime contracts on."""
     return os.environ.get(ENV_FLAG, "").strip().lower() in _TRUTHY
 
 

@@ -10,11 +10,11 @@ or from Python::
     from repro.lint import lint_paths
     findings = lint_paths(["src"])
 
-The rule set encodes the correctness properties the reproduction's
-figures depend on -- deterministic replay, integer-exact address
-arithmetic, ``repro.units`` discipline, API hygiene. A tier-1 test keeps
-``src/`` at zero findings. See ``docs/internals.md`` for the rule list
-and the suppression pragma (``# simlint: disable=RULE``).
+The rule set encodes correctness properties the reproduction's figures
+depend on -- deterministic replay and ``repro.units`` discipline. A
+tier-1 test keeps ``src/`` at zero findings. See ``docs/internals.md``
+for the rule list and the suppression pragma
+(``# simlint: disable=RULE``).
 """
 
 from .core import (
@@ -31,15 +31,11 @@ from .core import (
     lint_source,
     register,
 )
-from .flow import Space, compatible, space_of_name
 from . import rules  # noqa: F401  (imported for rule registration)
 
 __all__ = [
     "JSON_SCHEMA_VERSION",
     "RULES",
-    "Space",
-    "compatible",
-    "space_of_name",
     "UNITS_SCOPED_DIRS",
     "Finding",
     "LintContext",

@@ -73,8 +73,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "Simulator-aware static analysis: determinism, units "
-            "discipline, address-math safety and API hygiene."
+            "Simulator-aware static analysis: determinism and units "
+            "discipline."
         ),
     )
     parser.add_argument(

@@ -3,9 +3,8 @@
 The linter parses each file into an :mod:`ast` tree and runs every
 registered :class:`Rule` over it. Rules are small, single-purpose checks
 tailored to *this* codebase: the properties the reproduction's figures
-rest on (deterministic replay, integer-exact address arithmetic, units
-discipline) are not enforceable by generic linters, so they are encoded
-here and enforced by a tier-1 test.
+rest on (deterministic replay, units discipline) are not enforceable by
+generic linters, so they are encoded here and enforced by a tier-1 test.
 
 Suppressions
 ------------
@@ -98,7 +97,7 @@ class LintContext:
 
     @property
     def is_test_code(self) -> bool:
-        """True for pytest files, where bare ``assert`` is the idiom."""
+        """True for pytest files, which assert against literal values."""
         path = PurePath(self.path)
         return path.name.startswith("test_") or "tests" in path.parts
 
@@ -117,7 +116,7 @@ class Rule:
 
     #: Unique rule identifier used in output and suppression pragmas.
     name: str = ""
-    #: Rule family (determinism, units, address-math, api-hygiene).
+    #: Rule family (determinism, units).
     category: str = ""
     #: One-line human description (shown by ``--list-rules``).
     description: str = ""
@@ -147,17 +146,8 @@ def iter_rules() -> Iterator[Rule]:
 
 
 # ---------------------------------------------------------------------- #
-# Shared AST helpers used by several rules
+# Shared AST helpers
 # ---------------------------------------------------------------------- #
-
-def terminal_name(node: ast.AST) -> Optional[str]:
-    """The rightmost identifier of a name/attribute chain, if any."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
 
 def root_name(node: ast.AST) -> Optional[str]:
     """The leftmost identifier of a name/attribute chain, if any."""

@@ -1,9 +1,7 @@
 """Determinism rules: the simulator must replay bit-identically per seed.
 
-Every random draw must come from a seeded :class:`random.Random` instance
-threaded through the call graph (the engine owns the root RNG); wall-clock
-reads and unordered-set iteration both smuggle nondeterminism into model
-state and results.
+Wall-clock reads and unordered-set iteration both smuggle
+nondeterminism into model state and results.
 """
 
 from __future__ import annotations
@@ -41,57 +39,6 @@ def _import_aliases(tree: ast.Module, module: str):
             for alias in node.names:
                 member_aliases[alias.asname or alias.name] = alias.name
     return module_aliases, member_aliases
-
-
-@register
-class GlobalRandomRule(Rule):
-    """Flag draws from the process-global ``random`` module RNG."""
-
-    name = "global-random"
-    category = "determinism"
-    description = (
-        "model code must draw from a seeded random.Random instance, never "
-        "the process-global random module functions or an unseeded Random()"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        module_aliases, member_aliases = _import_aliases(ctx.tree, "random")
-        if not module_aliases and not member_aliases:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            called = None
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in module_aliases
-            ):
-                called = func.attr
-            elif isinstance(func, ast.Name) and func.id in member_aliases:
-                called = member_aliases[func.id]
-            if called is None:
-                continue
-            if called == "Random":
-                if not node.args and not node.keywords:
-                    yield ctx.finding(
-                        node,
-                        self,
-                        "unseeded random.Random(): seeds the RNG from the "
-                        "OS; pass an explicit seed",
-                    )
-            elif called == "SystemRandom":
-                yield ctx.finding(
-                    node, self, "random.SystemRandom() is never reproducible"
-                )
-            else:
-                yield ctx.finding(
-                    node,
-                    self,
-                    f"call to process-global random.{called}(); use a "
-                    "seeded random.Random instance instead",
-                )
 
 
 @register

@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 # ---------------------------------------------------------------------- #
 # Canonical schema: one registration per metric, literal dotted names
-# (the ``metrics-naming`` lint rule checks these statically).
+# (registration rejects any other shape on import).
 # ---------------------------------------------------------------------- #
 
 REGISTRY.counter("perf.cycles", "modelled execution time of the measured window", "cycles")

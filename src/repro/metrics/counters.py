@@ -10,7 +10,7 @@ them with :func:`percent_change`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Sequence
 
 from ..obs.histogram import Log2Histogram
 
@@ -65,8 +65,6 @@ class PerfCounters:
     #: how many faults a run takes (the raw ``List[int]`` it replaces
     #: grew without bound on long runs).
     fault_latencies: Log2Histogram = field(default_factory=Log2Histogram)
-    #: Extra labelled values an experiment wants to carry along.
-    extra: Dict[str, float] = field(default_factory=dict)
 
     def fault_latency_percentile(self, fraction: float) -> float:
         """Nearest-rank percentile of fault-handler latency.

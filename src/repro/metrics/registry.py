@@ -12,16 +12,15 @@ text, mirroring how the tracepoint registry names events.
 * :class:`MetricsRegistry` / :data:`REGISTRY` -- the process-wide schema:
   declare metrics once, list them with :meth:`MetricsRegistry.catalog`.
 * :class:`MetricsSnapshot` -- one labelled set of values for registered
-  metrics, with JSON round-trip and Prometheus text export. Snapshots
-  are *self-describing*: the JSON embeds kind/help, so ``python -m
-  repro.obs diff`` can compare files from different builds.
+  metrics, with JSON round-trip. Snapshots are *self-describing*: the
+  JSON embeds kind/help, so ``python -m repro.obs diff`` can compare
+  files from different builds.
 * Snapshot files hold either one snapshot or a labelled family
   (:func:`write_snapshots` / :func:`load_snapshot`, which accepts
   ``path#label`` to pick one member).
 
-Metric names obey the same shape the lint rule ``metrics-naming``
-enforces statically on literals; dynamic names are validated here at
-registration, exactly like tracepoints.
+Metric names are validated here at registration, exactly like
+tracepoints, so a malformed literal name fails on import.
 """
 
 from __future__ import annotations
@@ -262,40 +261,6 @@ class MetricsSnapshot:
         if profile is not None:
             snapshot.profile = ProfileNode.from_dict("root", profile)
         return snapshot
-
-    # ------------------------------------------------------------------ #
-    # Prometheus text export
-    # ------------------------------------------------------------------ #
-
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """Prometheus text-exposition rendering of the snapshot.
-
-        Dotted names become underscore-joined (``perf.walk_cycles`` ->
-        ``repro_perf_walk_cycles``); histograms expose cumulative
-        ``_bucket{le=...}`` lines plus ``_sum`` / ``_count``.
-        """
-        lines: List[str] = []
-        for name in sorted(self.metrics):
-            value = self.metrics[name]
-            spec = self.registry.get(name)
-            flat = f"{prefix}_{name.replace('.', '_')}"
-            if spec.help:
-                lines.append(f"# HELP {flat} {spec.help}")
-            lines.append(f"# TYPE {flat} {spec.kind.value}")
-            if isinstance(value, Log2Histogram):
-                cumulative = 0
-                for bucket, count in sorted(value.nonzero_buckets().items()):
-                    cumulative += count
-                    upper = Log2Histogram.bucket_high(bucket)
-                    lines.append(
-                        f'{flat}_bucket{{le="{upper}"}} {cumulative}'
-                    )
-                lines.append(f'{flat}_bucket{{le="+Inf"}} {value.count}')
-                lines.append(f"{flat}_sum {value.total}")
-                lines.append(f"{flat}_count {value.count}")
-            else:
-                lines.append(f"{flat} {value:g}")
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------- #

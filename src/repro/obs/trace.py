@@ -24,8 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..errors import ReproError
 
 #: Tracepoint names are dotted lower-case paths: ``layer.event`` (one or
-#: more dots). The lint rule ``tracepoint-naming`` enforces the same
-#: shape statically on literal registrations.
+#: more dots), checked when the tracepoint is registered.
 TRACEPOINT_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 
 

@@ -30,6 +30,7 @@ from ..obs.profile import PROFILER
 from ..obs.trace import tracepoint
 from ..pagetable.pte import COW, HUGE, PRESENT, PteFlags, pte_frame
 from ..sanitizer import FrameSanitizer, sanitizer_enabled
+from ..units import RESERVED_BASE_FRAMES
 from .fault import FaultKind, FaultOutcome, default_alloc
 from .process import Process
 from .vma import Protection, Vma
@@ -82,14 +83,16 @@ class GuestKernel:
         self.machine = machine
         self.rng = rng or random.Random(0)
         self.memory = PhysicalMemory(config.frames, name="guest")
-        self.buddy = BuddyAllocator(self.memory, reserved_base_frames=64)
+        self.buddy = BuddyAllocator(
+            self.memory, reserved_base_frames=RESERVED_BASE_FRAMES
+        )
         self.sanitizer: Optional[FrameSanitizer] = None
-        if config.sanitize or sanitizer_enabled():
+        if sanitizer_enabled():
             self.sanitizer = FrameSanitizer(name="guest")
             self.buddy.sanitizer = self.sanitizer
         #: Resolved once, like the sanitizer: the environment is not
         #: re-read on every fault.
-        self._check_invariants = config.check_invariants or invariants_enabled()
+        self._check_invariants = invariants_enabled()
         self.stats = KernelStats()
         self.processes: Dict[int, Process] = {}
         self._next_pid = 1
@@ -234,11 +237,11 @@ class GuestKernel:
         default single-page path otherwise. Raises
         :class:`SegmentationFault` for addresses with no VMA.
 
-        With invariant contracts enabled (``GuestConfig.check_invariants``
-        or the ``REPRO_INVARIANTS`` env flag, read when the kernel is
-        built; see :mod:`repro.invariants`), the allocator, PaRT and
-        page-table consistency checks run after every fault and raise
-        :class:`~repro.errors.InvariantViolation` on drift.
+        With invariant contracts enabled (the ``REPRO_INVARIANTS`` env
+        flag, read when the kernel is built; see :mod:`repro.invariants`),
+        the allocator, PaRT and page-table consistency checks run after
+        every fault and raise :class:`~repro.errors.InvariantViolation`
+        on drift.
         """
         if _tp_fault_enter.enabled:
             _tp_fault_enter.emit(pid=process.pid, vpn=vpn, write=write)

@@ -477,8 +477,3 @@ class PageTable:
                 yield node
             else:
                 stack.extend(node.children.values())
-
-    @staticmethod
-    def slots_per_node() -> int:
-        """Fan-out of one node (512 on x86-64)."""
-        return PTES_PER_NODE

@@ -26,9 +26,8 @@ two VPNs of one process mapping the same frame (COW sharing between
 processes stays legal), and -- at process exit -- leaked reservations or
 mappings.
 
-Enablement mirrors :mod:`repro.invariants`: set
-``GuestConfig.sanitize=True``, export ``REPRO_SANITIZE=1``, or call
-:func:`enable_sanitizer`. When disabled the cost at every hook site is a
+Enablement mirrors :mod:`repro.invariants`: export ``REPRO_SANITIZE=1``
+before the kernel is built. When disabled the cost at every hook site is a
 single attribute read (``sanitizer is None``), held to the same <= 2%
 budget as tracepoints by ``benchmarks/test_sanitizer_overhead.py``.
 """
@@ -47,27 +46,11 @@ ENV_FLAG = "REPRO_SANITIZE"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
-_forced: Optional[bool] = None
-
 _tp_violation = tracepoint("sanitizer.violation")
-
-
-def enable_sanitizer(enabled: bool = True) -> None:
-    """Force the sanitizer on (or off) for this process, overriding env."""
-    global _forced
-    _forced = enabled
-
-
-def reset_sanitizer_override() -> None:
-    """Drop any :func:`enable_sanitizer` override; env decides again."""
-    global _forced
-    _forced = None
 
 
 def sanitizer_enabled() -> bool:
     """True when new kernels should attach a :class:`FrameSanitizer`."""
-    if _forced is not None:
-        return _forced
     return os.environ.get(ENV_FLAG, "").strip().lower() in _TRUTHY
 
 
@@ -116,10 +99,6 @@ class FrameSanitizer:
         """Current shadow state of ``frame``."""
         shadow = self._frames.get(frame)
         return FrameLifecycle.FREE if shadow is None else shadow.state
-
-    def tracked_frames(self) -> int:
-        """Number of frames the shadow map has seen so far."""
-        return len(self._frames)
 
     def _shadow(self, frame: int) -> ShadowFrame:
         shadow = self._frames.get(frame)

@@ -33,12 +33,6 @@ class CoreContext:
         self.tlb.invalidate(vpn)
         self.guest_pwc.invalidate_vpn(vpn)
 
-    def flush_translations(self) -> None:
-        """Full shootdown (guest PT replaced wholesale)."""
-        self.tlb.flush()
-        self.guest_pwc.flush()
-        self.host_pwc.flush()
-
 
 class Machine:
     """The whole simulated CPU package: shared LLC plus per-core contexts."""

@@ -53,6 +53,10 @@ RESERVATION_ORDER = RESERVATION_PAGES.bit_length() - 1
 #: Largest reservation order the PTEMagnet allocator supports (64 pages).
 MAX_RESERVATION_ORDER = 6
 
+#: Low frames each kernel's buddy allocator marks kernel-reserved at boot
+#: (the kernel image and early allocations), in guest and host alike.
+RESERVED_BASE_FRAMES = 64
+
 #: Virtual-address bits covered by a 4-level page table (x86-64 canonical).
 VA_BITS = PAGE_SHIFT + PT_LEVELS * BITS_PER_LEVEL  # 48
 

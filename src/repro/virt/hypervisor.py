@@ -25,7 +25,7 @@ from ..errors import SimulationError
 from ..mem.buddy import BuddyAllocator
 from ..mem.physical import FrameState, PhysicalMemory
 from ..pagetable.radix import PageTable
-from ..units import PAGE_SHIFT
+from ..units import PAGE_SHIFT, RESERVED_BASE_FRAMES
 
 
 @dataclass
@@ -57,7 +57,9 @@ class HostKernel:
     def __init__(self, config: HostConfig) -> None:
         self.config = config
         self.memory = PhysicalMemory(config.frames, name="host")
-        self.buddy = BuddyAllocator(self.memory, reserved_base_frames=64)
+        self.buddy = BuddyAllocator(
+            self.memory, reserved_base_frames=RESERVED_BASE_FRAMES
+        )
         self.stats = HostStats()
         self._vms: Dict[int, VmHandle] = {}
         self._next_vm_id = 1

@@ -11,25 +11,24 @@ import pytest
 from repro.config import GuestConfig, MachineConfig
 from repro.errors import InvariantViolation
 from repro.invariants import (
+    ENV_FLAG,
     FULL_CHECK_INTERVAL,
     check_buddy,
     check_fault_path,
     check_kernel,
     check_page_table,
     check_part,
-    enable_invariants,
     invariants_enabled,
-    reset_invariants_override,
 )
 from repro.mem.physical import FrameState
 from repro.os.kernel import GuestKernel
 from repro.units import MB
 
 
-@pytest.fixture(autouse=True)
-def _clear_override():
-    yield
-    reset_invariants_override()
+@pytest.fixture
+def contracts_on(monkeypatch):
+    """Run the contracts after every fault of kernels built in the test."""
+    monkeypatch.setenv(ENV_FLAG, "1")
 
 
 def make_kernel(ptemagnet=False, **kwargs):
@@ -67,12 +66,13 @@ class TestCleanState:
         for vpn in vma.pages():
             check_fault_path(kernel, process, vpn)
 
-    def test_config_flag_runs_contracts_across_full_sweep_boundary(self):
+    def test_env_flag_runs_contracts_across_full_sweep_boundary(
+        self, contracts_on
+    ):
         # Cross FULL_CHECK_INTERVAL so both the path-local and the full
         # periodic sweep execute on the live fault path.
-        kernel, _, _ = faulted_kernel(
-            pages=FULL_CHECK_INTERVAL + 64, check_invariants=True
-        )
+        kernel, _, _ = faulted_kernel(pages=FULL_CHECK_INTERVAL + 64)
+        assert kernel._check_invariants
         assert kernel.stats.faults > FULL_CHECK_INTERVAL
 
     def test_fault_path_flags_unmapped_vpn(self):
@@ -205,8 +205,8 @@ class TestKernelContracts:
         with pytest.raises(InvariantViolation, match="RESERVED"):
             check_kernel(kernel)
 
-    def test_handle_fault_hook_reports_corruption(self):
-        kernel = make_kernel(ptemagnet=True, check_invariants=True)
+    def test_handle_fault_hook_reports_corruption(self, contracts_on):
+        kernel = make_kernel(ptemagnet=True)
         process = kernel.create_process("app")
         vma = kernel.mmap(process, 8)
         kernel.buddy._free[1][3] = None
@@ -214,17 +214,19 @@ class TestKernelContracts:
         with pytest.raises(InvariantViolation):
             kernel.handle_fault(process, vma.start_vpn)
 
-    def test_env_hook_reports_corruption(self):
-        enable_invariants(True)
-        kernel = make_kernel(ptemagnet=True)  # no config flag
+    def test_env_hook_reports_corruption(self, monkeypatch):
+        # The switch is read when the kernel is built, not per fault.
+        monkeypatch.setenv(ENV_FLAG, "yes")
+        kernel = make_kernel(ptemagnet=True)
+        monkeypatch.delenv(ENV_FLAG)
         process = kernel.create_process("app")
         vma = kernel.mmap(process, 8)
         kernel.buddy._free[1][3] = None
         with pytest.raises(InvariantViolation):
             kernel.handle_fault(process, vma.start_vpn)
 
-    def test_hook_disabled_by_default(self):
-        enable_invariants(False)
+    def test_hook_disabled_by_default(self, monkeypatch):
+        monkeypatch.delenv(ENV_FLAG, raising=False)
         kernel = make_kernel(ptemagnet=True)
         process = kernel.create_process("app")
         vma = kernel.mmap(process, 8)
@@ -237,7 +239,9 @@ class TestKernelContracts:
 # ---------------------------------------------------------------------- #
 
 class TestFullSweepUnderReclaim:
-    def test_full_sweep_stays_silent_while_reclaim_churns(self, monkeypatch):
+    def test_full_sweep_stays_silent_while_reclaim_churns(
+        self, monkeypatch, contracts_on
+    ):
         """The O(live-state) sweep must hold while the reclaim daemon is
         actively stealing reserved pages between faults -- the state it
         checks (buddy lists, PaRT, frame map) churns hardest there."""
@@ -251,9 +255,7 @@ class TestFullSweepUnderReclaim:
             "check_kernel",
             lambda kernel: (sweeps.append(1), real_check_kernel(kernel)),
         )
-        kernel = make_kernel(
-            ptemagnet=True, reclaim_threshold=0.9, check_invariants=True
-        )
+        kernel = make_kernel(ptemagnet=True, reclaim_threshold=0.9)
         process = kernel.create_process("app")
         vma = kernel.mmap(process, 1500)
         for step, vpn in enumerate(vma.pages()):
@@ -270,16 +272,7 @@ class TestFullSweepUnderReclaim:
 # ---------------------------------------------------------------------- #
 
 class TestEnablement:
-    def test_override_wins_over_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
-        enable_invariants(True)
-        assert invariants_enabled()
-        enable_invariants(False)
-        monkeypatch.setenv("REPRO_INVARIANTS", "1")
-        assert not invariants_enabled()
-
     def test_env_truthy_values(self, monkeypatch):
-        reset_invariants_override()
         for value in ("1", "true", "YES", "On"):
             monkeypatch.setenv("REPRO_INVARIANTS", value)
             assert invariants_enabled()

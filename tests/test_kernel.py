@@ -6,12 +6,13 @@ import pytest
 
 from repro.config import GuestConfig, MachineConfig
 from repro.errors import SegmentationFault, SimulationError
-from repro.invariants import check_page_table
+from repro.invariants import check_kernel, check_page_table
 from repro.mem.physical import FrameState
 from repro.os.fault import FaultKind
 from repro.os.fork import fork
 from repro.os.kernel import GuestKernel
 from repro.os.reclaim import SwapDaemon
+from repro.sanitizer import ENV_FLAG
 from repro.units import MB, PTES_PER_NODE, RESERVATION_PAGES
 
 
@@ -157,6 +158,21 @@ class TestPTEMagnetFaultPath:
         ]
         assert frames == list(range(frames[0], frames[0] + RESERVATION_PAGES))
         assert frames[0] % RESERVATION_PAGES == 0
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_group_frames_are_contiguous_at_other_orders(self, order):
+        """Away from the paper's order 3, each group still maps onto one
+        run of ``2**order`` frames aligned to its size."""
+        pages = 1 << order
+        kernel = make_kernel(ptemagnet=True, ptemagnet_reservation_order=order)
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, pages * 4)
+        first = -(-vma.start_vpn // pages) * pages  # first whole group
+        for base in range(first, first + 3 * pages, pages):
+            frames = [kernel.handle_fault(p, base + i).frame for i in range(pages)]
+            assert frames == list(range(frames[0], frames[0] + pages))
+            assert frames[0] % pages == 0
+        check_kernel(kernel)
 
     def test_full_group_deletes_part_entry(self):
         kernel = make_kernel(ptemagnet=True)
@@ -369,7 +385,9 @@ class Twin:
     """One of two identical kernels, logging its frees and shootdowns."""
 
     def __init__(self, setup, **config):
-        self.kernel = make_kernel(sanitize=True, **config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(ENV_FLAG, "1")
+            self.kernel = make_kernel(**config)
         buddy = self.kernel.buddy
         self.frees = []
         free = buddy.free

@@ -48,49 +48,8 @@ def test_src_tree_has_zero_findings():
 
 def test_registry_has_expected_rules():
     names = {rule.name for rule in iter_rules()}
-    assert {
-        "global-random",
-        "wall-clock",
-        "set-order",
-        "magic-number",
-        "address-division",
-        "mutable-default",
-        "bare-assert",
-        "raw-output",
-        "tracepoint-naming",
-        "metrics-naming",
-        "address-flow",
-    } == names
+    assert {"magic-number", "set-order", "wall-clock"} == names
     assert set(RULES) == names
-
-
-# ---------------------------------------------------------------------- #
-# determinism: global-random
-# ---------------------------------------------------------------------- #
-
-def test_global_random_flags_module_functions():
-    src = "import random\nx = random.randint(0, 5)\n"
-    assert rules_hit(src) == ["global-random"]
-
-
-def test_global_random_flags_from_import():
-    src = "from random import shuffle\nshuffle(items)\n"
-    assert rules_hit(src) == ["global-random"]
-
-
-def test_global_random_flags_unseeded_random_instance():
-    src = "import random\nrng = random.Random()\n"
-    assert rules_hit(src) == ["global-random"]
-
-
-def test_global_random_allows_seeded_instance():
-    src = "import random\nrng = random.Random(7)\nrng.shuffle(items)\n"
-    assert rules_hit(src) == []
-
-
-def test_global_random_ignores_other_modules():
-    src = "import numpy as np\nx = np.random.default_rng(1)\n"
-    assert rules_hit(src) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -243,168 +202,6 @@ def test_magic_number_ignores_non_address_scalars():
     assert rules_hit(src, path=MODEL_PATH) == []
 
 
-# ---------------------------------------------------------------------- #
-# address-math: address-division
-# ---------------------------------------------------------------------- #
-
-def test_address_division_flags_true_division():
-    src = "def mid(frame):\n    return frame / 2\n"
-    assert rules_hit(src) == ["address-division"]
-
-
-def test_address_division_flags_float_cast():
-    src = "x = float(base_frame)\n"
-    assert rules_hit(src) == ["address-division"]
-
-
-def test_address_division_allows_floor_division():
-    src = "def mid(frame):\n    return frame // 2\n"
-    assert rules_hit(src) == []
-
-
-def test_address_division_allows_count_ratios():
-    # Plural tokens name counts, not addresses: ratios are legitimate.
-    src = "fraction = free_frames / num_frames\n"
-    assert rules_hit(src) == []
-
-
-# ---------------------------------------------------------------------- #
-# address-flow: the gVA/gPA/hPA lattice dataflow pass
-# ---------------------------------------------------------------------- #
-
-def test_address_flow_flags_swapped_map_arguments():
-    src = "def fault(pt, vpn, frame):\n    pt.map(frame, vpn)\n"
-    assert rules_hit(src) == ["address-flow", "address-flow"]
-
-
-def test_address_flow_allows_correct_map_arguments():
-    src = "def fault(pt, vpn, frame):\n    pt.map(vpn, frame)\n"
-    assert rules_hit(src) == []
-
-
-def test_address_flow_host_page_table_signature():
-    # host_pt.map takes guest-frame -> host-frame, not vpn -> frame.
-    src = "def back(vm, gfn, hfn):\n    vm.host_pt.map(gfn, hfn)\n"
-    assert rules_hit(src) == []
-    # Without a host-flavoured receiver the guest signature applies: the
-    # first argument must be a VPN (hfn still satisfies the generic FRAME).
-    src = "def back(pt, gfn, hfn):\n    pt.map(gfn, hfn)\n"
-    assert rules_hit(src) == ["address-flow"]
-
-
-def test_address_flow_flags_cross_space_assignment():
-    src = "def f(vpn, frame):\n    vpn = frame\n    return vpn\n"
-    assert rules_hit(src) == ["address-flow"]
-
-
-def test_address_flow_flags_mixed_space_arithmetic():
-    src = "def f(vpn, frame):\n    return vpn + frame\n"
-    assert rules_hit(src) == ["address-flow"]
-
-
-def test_address_flow_allows_addr_plus_bytes():
-    src = "def f(gva, nbytes):\n    return gva + nbytes\n"
-    assert rules_hit(src) == []
-
-
-def test_address_flow_tracks_shift_conversions():
-    src = (
-        "from repro.units import PAGE_SHIFT\n"
-        "def f(gva):\n"
-        "    vpn = gva >> PAGE_SHIFT\n"
-        "    return vpn\n"
-    )
-    assert rules_hit(src) == []
-    src = (
-        "from repro.units import PAGE_SHIFT\n"
-        "def f(gva, frame):\n"
-        "    frame = gva >> PAGE_SHIFT\n"
-        "    return frame\n"
-    )
-    assert rules_hit(src) == ["address-flow"]
-
-
-def test_address_flow_flags_wrong_space_keyword_argument():
-    src = "def f(frame):\n    emit(vpn=frame)\n"
-    assert rules_hit(src) == ["address-flow"]
-
-
-def test_address_flow_checks_local_function_signatures():
-    src = (
-        "def translate(vpn):\n"
-        "    return vpn\n"
-        "def f(frame):\n"
-        "    return translate(frame)\n"
-    )
-    assert rules_hit(src) == ["address-flow"]
-
-
-def test_address_flow_checks_shootdown_signatures():
-    # The unmap fan-out is keyed by guest VPN: handing it the frame is
-    # the fork-path mix-up a same-file signature cannot see, because
-    # the callee lives in another module behind a non-self receiver.
-    src = (
-        "def fork(kernel, parent, vpn, frame):\n"
-        "    kernel._notify_unmap(parent.pid, frame)\n"
-        "    kernel.split_huge(parent, frame)\n"
-        "    kernel._free_page(parent, frame)\n"
-        "    core.invalidate_translation(frame)\n"
-        "    pwc.invalidate_vpn(frame)\n"
-    )
-    assert rules_hit(src) == ["address-flow"] * 5
-    src = (
-        "def fork(kernel, parent, vpn, frame):\n"
-        "    kernel._notify_unmap(parent.pid, vpn)\n"
-        "    kernel.split_huge(parent, vpn)\n"
-        "    kernel._free_page(parent, vpn)\n"
-        "    core.invalidate_translation(vpn)\n"
-        "    pwc.invalidate_vpn(vpn)\n"
-    )
-    assert rules_hit(src) == []
-
-
-def test_address_flow_skips_test_code():
-    src = "def fault(pt, vpn, frame):\n    pt.map(frame, vpn)\n"
-    assert rules_hit(src, path="tests/test_x.py") == []
-
-
-def test_address_flow_pragma_suppression():
-    src = (
-        "def fault(pt, vpn, frame):\n"
-        "    pt.map(frame, vpn)  # simlint: disable=address-flow\n"
-    )
-    assert rules_hit(src) == []
-
-
-# ---------------------------------------------------------------------- #
-# api-hygiene
-# ---------------------------------------------------------------------- #
-
-def test_mutable_default_flags_list_literal():
-    src = "def f(xs=[]):\n    return xs\n"
-    assert rules_hit(src) == ["mutable-default"]
-
-
-def test_mutable_default_flags_kwonly_dict_call():
-    src = "def f(*, cache=dict()):\n    return cache\n"
-    assert rules_hit(src) == ["mutable-default"]
-
-
-def test_mutable_default_allows_none():
-    src = "def f(xs=None):\n    return xs or []\n"
-    assert rules_hit(src) == []
-
-
-def test_bare_assert_flags_library_code():
-    src = "def f(x):\n    assert x > 0\n    return x\n"
-    assert rules_hit(src, path="src/repro/mem/foo.py") == ["bare-assert"]
-
-
-def test_bare_assert_allows_test_files():
-    src = "def test_f():\n    assert 1 + 1 == 2\n"
-    assert rules_hit(src, path="tests/test_foo.py") == []
-
-
 def test_syntax_error_is_reported_as_finding():
     assert rules_hit("def broken(:\n") == ["syntax-error"]
 
@@ -441,11 +238,12 @@ def test_disable_all_pragma():
 def test_pragma_leaves_other_rules_active():
     src = (
         "# simlint: disable=wall-clock\n"
-        "import time, random\n"
+        "import time\n"
         "a = time.time()\n"
-        "b = random.random()\n"
+        "for b in {1, 2}:\n"
+        "    f(b)\n"
     )
-    assert [finding.rule for finding in lint_source(src)] == ["global-random"]
+    assert [finding.rule for finding in lint_source(src)] == ["set-order"]
 
 
 # ---------------------------------------------------------------------- #
@@ -529,6 +327,9 @@ def test_cli_rejects_unknown_disable(tmp_path):
         lint_main([str(bad), "--disable", "no-such-rule"])
     # Retired rule ids are no longer accepted either.
     for retired in (
+        "address-flow",
+        "global-random",
+        "raw-output",
         "fastpath-invalidation",
         "hotpath-alloc",
         "mirror-coherence",
@@ -546,7 +347,7 @@ def test_cli_list_rules(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     names = [line.split()[0] for line in lines]
     assert names == sorted(RULES)
-    assert len(names) == 11
+    assert len(names) == 3
     for name, line in zip(names, lines):
         assert f"[{RULES[name].category}]" in line
 
@@ -563,7 +364,7 @@ def test_cli_has_no_jobs_option(tmp_path, capsys):
 def test_module_entry_point_detects_seeded_violation(tmp_path):
     """``python -m repro.lint`` exits nonzero on a seeded-in violation."""
     bad = tmp_path / "seeded.py"
-    bad.write_text("import random\nx = random.random()\n")
+    bad.write_text(BAD_SNIPPET)
     proc = subprocess.run(
         [sys.executable, "-m", "repro.lint", str(bad)],
         capture_output=True,
@@ -572,104 +373,4 @@ def test_module_entry_point_detects_seeded_violation(tmp_path):
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 1
-    assert "global-random" in proc.stdout
-
-
-# ---------------------------------------------------------------------- #
-# observability: raw-output
-# ---------------------------------------------------------------------- #
-
-def test_raw_output_flags_print_in_library_code():
-    src = "def helper(value):\n    print(value)\n"
-    assert rules_hit(src) == ["raw-output"]
-
-
-def test_raw_output_flags_stdlib_logging():
-    src = "import logging\n\ndef helper():\n    logging.warning('drift')\n"
-    assert rules_hit(src) == ["raw-output"]
-
-
-def test_raw_output_exempts_cli_files():
-    src = "def helper(value):\n    print(value)\n"
-    assert rules_hit(src, path="repro/obs/cli.py") == []
-    assert rules_hit(src, path="repro/__main__.py") == []
-    assert rules_hit(src, path="repro/experiments/runner.py") == []
-
-
-def test_raw_output_exempts_main_entry_function():
-    src = "def main(argv=None):\n    print('usage: ...')\n    return 0\n"
-    assert rules_hit(src) == []
-
-
-def test_raw_output_exempts_test_code():
-    src = "def helper(value):\n    print(value)\n"
-    assert rules_hit(src, path="tests/test_x.py") == []
-
-
-# ---------------------------------------------------------------------- #
-# observability: tracepoint-naming
-# ---------------------------------------------------------------------- #
-
-def test_tracepoint_naming_flags_bad_literal():
-    src = "tp = tracepoint('BuddySplit')\n"
-    assert rules_hit(src) == ["tracepoint-naming"]
-
-
-def test_tracepoint_naming_requires_a_dot():
-    src = "tp = tracepoint('buddy')\n"
-    assert rules_hit(src) == ["tracepoint-naming"]
-
-
-def test_tracepoint_naming_accepts_dotted_lowercase():
-    src = "tp = tracepoint('buddy.split')\n"
-    assert rules_hit(src) == []
-    src = "tp = TRACER.tracepoint('walk.step')\n"
-    assert rules_hit(src) == []
-
-
-def test_tracepoint_naming_skips_dynamic_names():
-    src = "tp = tracepoint('sample.' + token)\n"
-    assert rules_hit(src) == []
-
-
-# ---------------------------------------------------------------------- #
-# observability: metrics-naming
-# ---------------------------------------------------------------------- #
-
-def test_metrics_naming_flags_bad_counter_literal():
-    src = "REGISTRY.counter('WalkCycles')\n"
-    assert rules_hit(src) == ["metrics-naming"]
-
-
-def test_metrics_naming_flags_undotted_gauge_and_histogram():
-    src = "REGISTRY.gauge('freepages')\nREGISTRY.histogram('latency')\n"
-    assert rules_hit(src) == ["metrics-naming", "metrics-naming"]
-
-
-def test_metrics_naming_accepts_dotted_lowercase():
-    src = (
-        "REGISTRY.counter('perf.walk_cycles')\n"
-        "registry.gauge('mem.free_pages')\n"
-        "histogram('perf.fault_latencies')\n"
-    )
-    assert rules_hit(src) == []
-
-
-def test_metrics_naming_skips_dynamic_names():
-    src = "REGISTRY.counter('cache.' + stream)\n"
-    assert rules_hit(src) == []
-
-
-def test_metrics_naming_flags_free_floating_extra_keys():
-    src = "counters.extra['WalkCycles'] = 1\n"
-    assert rules_hit(src) == ["metrics-naming"]
-    src = "counters.extra['retries'] += 1\n"
-    assert rules_hit(src) == ["metrics-naming"]
-
-
-def test_metrics_naming_allows_dotted_extra_keys_and_test_code():
-    src = "counters.extra['perf.retries'] = 1\n"
-    assert rules_hit(src) == []
-    src = "counters.extra['retries'] = 1\n"
-    assert rules_hit(src, path="tests/test_x.py") == []
-
+    assert "wall-clock" in proc.stdout

@@ -104,24 +104,6 @@ class TestSnapshot:
         assert dict(clone.scalar_items()) == dict(snap.scalar_items())
         assert clone.profile.to_dict() == prof.root.to_dict()
 
-    def test_prometheus_export(self):
-        snap = MetricsSnapshot("t", registry=make_registry())
-        snap.set("perf.walk_cycles", 77)
-        hist = Log2Histogram()
-        for value in (3, 3, 100):
-            hist.record(value)
-        snap.set("perf.fault_latencies", hist)
-        text = snap.to_prometheus()
-        assert "# TYPE repro_perf_walk_cycles counter" in text
-        assert "repro_perf_walk_cycles 77" in text
-        assert "# HELP repro_perf_fault_latencies per-fault latency" in text
-        # cumulative buckets: two samples of 3 (bucket high 3), then 100
-        assert 'repro_perf_fault_latencies_bucket{le="3"} 2' in text
-        assert 'repro_perf_fault_latencies_bucket{le="127"} 3' in text
-        assert 'repro_perf_fault_latencies_bucket{le="+Inf"} 3' in text
-        assert "repro_perf_fault_latencies_sum 106" in text
-        assert "repro_perf_fault_latencies_count 3" in text
-
 
 class TestSnapshotFiles:
     def _snap(self, label, cycles):

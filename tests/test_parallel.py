@@ -123,10 +123,8 @@ def _module_switches():
     from repro.obs.trace import TRACER
 
     return {
-        "sanitizer_enabled": sanitizer.sanitizer_enabled(),
-        "sanitizer._forced": sanitizer._forced,
-        "invariants_enabled": invariants.invariants_enabled(),
-        "invariants._forced": invariants._forced,
+        sanitizer.ENV_FLAG: os.environ.get(sanitizer.ENV_FLAG),
+        invariants.ENV_FLAG: os.environ.get(invariants.ENV_FLAG),
         "PROFILER.enabled": PROFILER.enabled,
         "TRACER.active": TRACER.active,
         "TRACER sinks": list(TRACER._sinks),
@@ -136,19 +134,16 @@ def _module_switches():
 
 
 class TestRunCellInProcess:
-    def test_run_cell_leaves_module_switches_alone(self, monkeypatch):
+    def test_run_cell_leaves_module_switches_alone(self):
         """``--jobs 1`` runs every cell in the parent process, so a switch
         one cell flips would change every cell run after it."""
-        from repro import invariants, sanitizer
         from repro.obs.profile import PROFILER
         from repro.obs.remote import CaptureSpec
         from repro.obs.trace import TRACER
         from repro.parallel import run_cell
 
-        # Start from no override and observability off, whatever earlier
-        # in-process runs left, so any switch a cell flips shows here.
-        monkeypatch.setattr(sanitizer, "_forced", None)
-        monkeypatch.setattr(invariants, "_forced", None)
+        # Start with observability off, whatever earlier in-process runs
+        # left, so any switch a cell flips shows here.
         TRACER.reset()
         PROFILER.reset()
         before = _module_switches()

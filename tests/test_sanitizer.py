@@ -16,26 +16,23 @@ from repro.mem.pcp import PerCpuPageCache
 from repro.os.fork import fork
 from repro.os.kernel import GuestKernel
 from repro.sanitizer import (
+    ENV_FLAG,
     FrameLifecycle,
     FrameSanitizer,
-    enable_sanitizer,
-    reset_sanitizer_override,
     sanitizer_enabled,
 )
 from repro.units import MB
 
 
 @pytest.fixture(autouse=True)
-def _clear_override():
-    yield
-    reset_sanitizer_override()
+def _sanitize(monkeypatch):
+    """Every kernel a test here builds is sanitized unless it says not."""
+    monkeypatch.setenv(ENV_FLAG, "1")
 
 
 def make_kernel(ptemagnet=False, **kwargs):
     kwargs.setdefault("memory_bytes", 32 * MB)
-    config = GuestConfig(
-        ptemagnet_enabled=ptemagnet, sanitize=True, **kwargs
-    )
+    config = GuestConfig(ptemagnet_enabled=ptemagnet, **kwargs)
     return GuestKernel(config, MachineConfig())
 
 
@@ -247,28 +244,24 @@ class TestHookTransitions:
 
 class TestEnablement:
     def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        kernel = GuestKernel(GuestConfig(memory_bytes=32 * MB), MachineConfig())
+        monkeypatch.delenv(ENV_FLAG)
+        kernel = make_kernel()
         assert kernel.sanitizer is None
         assert kernel.buddy.sanitizer is None
 
-    def test_config_flag_attaches_sanitizer(self):
+    def test_env_flag_attaches_sanitizer(self):
         kernel = make_kernel()
         assert kernel.sanitizer is not None
         assert kernel.buddy.sanitizer is kernel.sanitizer
 
-    def test_override_wins_over_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        enable_sanitizer(True)
-        assert sanitizer_enabled()
-        kernel = GuestKernel(GuestConfig(memory_bytes=32 * MB), MachineConfig())
-        assert kernel.sanitizer is not None
-        enable_sanitizer(False)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert not sanitizer_enabled()
+    def test_env_flag_read_when_kernel_is_built(self, monkeypatch):
+        kernel = make_kernel()
+        monkeypatch.delenv(ENV_FLAG)
+        process = kernel.create_process("app")
+        assert process.page_table.sanitizer is kernel.sanitizer is not None
+        assert make_kernel().sanitizer is None
 
     def test_env_truthy_values(self, monkeypatch):
-        reset_sanitizer_override()
         for value in ("1", "true", "YES", "On"):
             monkeypatch.setenv("REPRO_SANITIZE", value)
             assert sanitizer_enabled()

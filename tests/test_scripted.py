@@ -13,7 +13,7 @@ from repro.config import (
 )
 from repro.core.policy import EnablementPolicy
 from repro.errors import ConfigError
-from repro.units import MB
+from repro.units import MB, PAGE_SIZE, RESERVED_BASE_FRAMES
 from repro.workloads import (
     AccessOp,
     BrkOp,
@@ -110,8 +110,10 @@ class TestConfigValidation:
         "config, name, value",
         [
             (HostConfig, "memory_bytes", 1000),
+            (HostConfig, "memory_bytes", RESERVED_BASE_FRAMES * PAGE_SIZE),
             (HostConfig, "pt_levels", 7),
             (GuestConfig, "memory_bytes", 1000),
+            (GuestConfig, "memory_bytes", RESERVED_BASE_FRAMES * PAGE_SIZE),
             (GuestConfig, "pt_levels", 1),
             (GuestConfig, "reclaim_threshold", 1.5),
             (GuestConfig, "ptemagnet_reservation_order", 12),
@@ -124,6 +126,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as excinfo:
             config(**{name: value})
         assert f"{config.__name__}.{name}={value!r}:" in str(excinfo.value)
+
+    def test_one_page_above_reserved_frames_builds(self):
+        """The smallest memory both configs accept still builds a
+        simulation, with one frame beyond each kernel's reserved ones."""
+        memory_bytes = (RESERVED_BASE_FRAMES + 1) * PAGE_SIZE
+        sim = Simulation(
+            PlatformConfig(
+                host=HostConfig(memory_bytes=memory_bytes),
+                guest=GuestConfig(memory_bytes=memory_bytes),
+            )
+        )
+        assert sim.kernel.buddy.free_frames == 1
+        # The host's one free frame holds the VM's host page-table root.
+        assert sim.host.buddy.free_frames == 0
 
     def test_with_ptemagnet_preserves_fields(self):
         guest = GuestConfig(
