@@ -1,16 +1,16 @@
 """Page-walk caches (Intel-style paging-structure caches).
 
-One small LRU cache per page-table level stores recently used node frames
-keyed by the virtual-address prefix the node covers. On a walk, the deepest
-hit lets the walker start directly at that node, skipping every level above
-it (§2.5). Because PWCs absorb most upper-level accesses, the *leaf* level
-dominates PT cache traffic -- the premise of the paper's leaf-PTE locality
-argument.
+One small LRU cache per page-table level records the virtual-address
+prefixes of recently used nodes. On a walk, the deepest hit lets the walker
+start directly at that node, skipping every level above it (§2.5); a hit
+decides only that level, so an entry holds no node frame. Because PWCs
+absorb most upper-level accesses, the *leaf* level dominates PT cache
+traffic -- the premise of the paper's leaf-PTE locality argument.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..obs.trace import tracepoint
 from ..units import BITS_PER_LEVEL, PT_LEVELS
@@ -33,40 +33,38 @@ class PageWalkCache:
         if entries_per_level < 0:
             raise ValueError("entries_per_level must be non-negative")
         self.entries_per_level = entries_per_level
-        # _levels[level] maps vpn-prefix -> node frame, where the prefix
-        # of the level-L node covering a vpn is ``vpn >> (9 * L)`` (a leaf
-        # node covers 512 pages). Levels 1-6, leaf first, so the same PWC
-        # serves 4- and 5-level walks.
-        self._levels: Dict[int, Dict[int, int]] = {
+        # _levels[level] holds vpn prefixes in LRU order (oldest first),
+        # where the prefix of the level-L node covering a vpn is
+        # ``vpn >> (9 * L)`` (a leaf node covers 512 pages). Levels 1-6,
+        # leaf first, so the same PWC serves 4- and 5-level walks.
+        self._levels: Dict[int, Dict[int, None]] = {
             level: {} for level in range(1, 7)
         }
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, vpn: int) -> Optional[Tuple[int, int]]:
-        """Deepest cached node covering ``vpn``.
+    def lookup(self, vpn: int) -> Optional[int]:
+        """Level of the deepest cached node covering ``vpn``.
 
-        Returns ``(level, node_frame)`` for the lowest level with a hit, or
-        ``None`` on a complete miss. Updates LRU order of the hit entry.
+        Returns the lowest level with a hit, or ``None`` on a complete
+        miss. Updates LRU order of the hit entry.
         """
         if self.entries_per_level == 0:
             return None
         for level, entries in self._levels.items():
             prefix = vpn >> (BITS_PER_LEVEL * level)
-            frame = entries.get(prefix)
-            if frame is not None:
+            if prefix in entries:
                 del entries[prefix]
-                entries[prefix] = frame  # refresh LRU position
+                entries[prefix] = None  # refresh LRU position
                 self.hits += 1
-                return level, frame
+                return level
         self.misses += 1
         if _tp_miss.enabled:
             _tp_miss.emit(vpn=vpn)
         return None
 
-    def fill(self, vpn: int, level: int, node_frame: int) -> None:
-        """Record that the level-``level`` node covering ``vpn`` is
-        ``node_frame``."""
+    def fill(self, vpn: int, level: int) -> None:
+        """Record that the walk of ``vpn`` used its level-``level`` node."""
         if self.entries_per_level == 0:
             return
         entries = self._levels[level]
@@ -75,7 +73,7 @@ class PageWalkCache:
             del entries[prefix]
         elif len(entries) >= self.entries_per_level:
             del entries[next(iter(entries))]
-        entries[prefix] = node_frame
+        entries[prefix] = None
 
     def invalidate_vpn(self, vpn: int) -> None:
         """Drop every cached node covering ``vpn`` (after unmap/update)."""

@@ -65,6 +65,25 @@ class FaultPathResult(NamedTuple):
     fallback: bool
 
 
+def release_reservation(
+    buddy: BuddyAllocator,
+    part: PageReservationTable,
+    reservation: Reservation,
+    site: str,
+) -> int:
+    """Delete ``reservation`` from ``part`` and return its unmapped frames
+    to ``buddy`` (§4.3); its mapped pages stay mapped as ordinary pages.
+    ``site`` labels the release for the sanitizer. Returns the number of
+    frames freed."""
+    unmapped = reservation.unmapped_frames()
+    if buddy.sanitizer is not None:
+        buddy.sanitizer.on_unreserve(unmapped, site=site)
+    for frame in unmapped:
+        buddy.free(frame)
+    part.remove(reservation.group)
+    return len(unmapped)
+
+
 class PTEMagnetAllocator:
     """Reservation-based physical allocator for one guest kernel.
 
@@ -128,7 +147,7 @@ class PTEMagnetAllocator:
         # Reservation accessors.
         if entry is not None and not entry.mask & (1 << slot):
             frame = entry.map_slot(slot)
-            self.buddy.memory.set_state(frame, FrameState.USER, owner)
+            self.buddy.memory.set_state(frame, FrameState.USER)
             if entry.mask == (1 << entry.pages) - 1:
                 # Completed reservation: every slot is mapped, so no
                 # unreserved frames remain for the sanitizer to retire
@@ -179,7 +198,7 @@ class PTEMagnetAllocator:
             group=group, base_frame=base, pages=self.reservation_pages
         )
         frame = reservation.map_slot(slot)
-        self.buddy.memory.set_state(frame, FrameState.USER, owner)
+        self.buddy.memory.set_state(frame, FrameState.USER)
         part.insert(reservation)
         san = self.buddy.sanitizer
         if san is not None:
@@ -231,7 +250,7 @@ class PTEMagnetAllocator:
             # was served by fallback; treat as a normal free.
             return False
         entry.unmap_slot(slot)
-        self.buddy.memory.set_state(frame, FrameState.RESERVED, None)
+        self.buddy.memory.set_state(frame, FrameState.RESERVED)
         san = self.buddy.sanitizer
         if san is not None:
             # The kernel already unmapped the page (shadow HELD); the slot
@@ -239,16 +258,43 @@ class PTEMagnetAllocator:
             san.on_reserve(frame, 1, owner, site="part.free_page")
         emptied = not entry.mask
         if emptied:
-            part.remove(group)
-            if san is not None:
-                san.on_unreserve(
-                    range(entry.base_frame, entry.base_frame + entry.pages),
-                    site="part.free_page.emptied",
-                )
-            for reserved in range(
-                entry.base_frame, entry.base_frame + entry.pages
-            ):
-                self.buddy.free(reserved)
+            release_reservation(
+                self.buddy, part, entry, "part.free_page.emptied"
+            )
         if _tp_free.enabled:
             _tp_free.emit(group=group, slot=slot, emptied=emptied)
         return True
+
+    def cancel_fault(
+        self,
+        part: PageReservationTable,
+        vpn: int,
+        frame: int,
+        parent_part: Optional[PageReservationTable] = None,
+    ) -> None:
+        """Give back ``frame``, which :meth:`fault` took from a reservation
+        for ``vpn`` but the kernel could not map.
+
+        The slot rejoins its reservation, and an emptied reservation
+        returns its frames to the buddy allocator, as in
+        :meth:`free_page`. If the fault completed its reservation, the
+        PaRT entry is gone and the frame is freed like any page of a
+        completed reservation. The frame was never mapped, so its
+        sanitizer shadow state is still RESERVED.
+        """
+        group = vpn >> self.reservation_order
+        slot = vpn & (self.reservation_pages - 1)
+        for table in (part, parent_part):
+            entry = None if table is None else table.lookup(group)
+            if entry is not None and entry.base_frame + slot == frame:
+                entry.unmap_slot(slot)
+                self.buddy.memory.set_state(frame, FrameState.RESERVED)
+                if not entry.mask:
+                    release_reservation(
+                        self.buddy, table, entry, "part.cancel_fault"
+                    )
+                return
+        san = self.buddy.sanitizer
+        if san is not None:
+            san.on_unreserve((frame,), site="part.cancel_fault")
+        self.buddy.free(frame)

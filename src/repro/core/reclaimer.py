@@ -21,6 +21,7 @@ from typing import Dict, List
 from ..mem.buddy import BuddyAllocator
 from ..obs.profile import PROFILER
 from ..obs.trace import tracepoint
+from .allocator import release_reservation
 from .part import PageReservationTable
 
 _tp_wake = tracepoint("reclaim.wake")
@@ -112,18 +113,12 @@ class ReservationReclaimer:
     ) -> int:
         """Release every unallocated reserved page of one process' PaRT."""
         released = 0
-        san = self.buddy.sanitizer
         for reservation in list(part.iter_reservations()):
-            unmapped = reservation.unmapped_frames()
-            if san is not None:
-                san.on_unreserve(unmapped, site="reclaim.steal")
-            for frame in unmapped:
-                self.buddy.free(frame)
-                released += 1
-            # Delete the walked reservation: its remaining mapped pages
-            # stay mapped as ordinary pages; new faults in the group will
-            # take the default path (or a fresh reservation elsewhere).
-            part.remove(reservation.group)
+            # New faults in the released group take the default path (or
+            # a fresh reservation elsewhere).
+            released += release_reservation(
+                self.buddy, part, reservation, "reclaim.steal"
+            )
             report.reservations_released += 1
             if not self.under_pressure:
                 break

@@ -88,14 +88,14 @@ class BuddyAllocator:
         self._free: List[Dict[int, None]] = [
             {} for _ in range(MAX_ORDER + 1)
         ]
-        self._allocated_order: Dict[int, int] = {}
+        #: One byte per frame, like the state array: 1 + the order of the
+        #: live allocation based at that frame, 0 for any other frame.
+        self._allocated_order = bytearray(memory.num_frames)
         self._free_frames = 0
         self._below_watermark = False
         self._seed_free_lists(reserved_base_frames)
         if reserved_base_frames:
-            memory.set_range_state(
-                0, reserved_base_frames, FrameState.KERNEL, owner=-1
-            )
+            memory.set_range_state(0, reserved_base_frames, FrameState.KERNEL)
 
     def _seed_free_lists(self, start_frame: int) -> None:
         """Carve the initial frame range into maximal aligned free blocks."""
@@ -135,8 +135,12 @@ class BuddyAllocator:
         return {order: len(blocks) for order, blocks in enumerate(self._free)}
 
     def order_allocated_at(self, base: int) -> Optional[int]:
-        """Order of the live allocation whose base frame is ``base``."""
-        return self._allocated_order.get(base)
+        """Order of the live allocation whose base frame is ``base``, or
+        ``None`` when ``base`` is no allocation base."""
+        # Range-checked: a negative index would wrap around the array.
+        allocated = self._allocated_order
+        code = allocated[base] if 0 <= base < len(allocated) else 0
+        return code - 1 if code else None
 
     # ------------------------------------------------------------------ #
     # Allocation / free
@@ -175,10 +179,10 @@ class BuddyAllocator:
             self.stats.splits += 1
             if _tp_split.enabled:
                 _tp_split.emit(order=source, base=base, buddy=buddy)
-        self._allocated_order[base] = order
+        self._allocated_order[base] = order + 1
         self._free_frames -= 1 << order
         self.stats.record_alloc(order)
-        self.memory.set_range_state(base, 1 << order, state, owner)
+        self.memory.set_range_state(base, 1 << order, state)
         san = self.sanitizer
         if san is not None:
             san.on_alloc(base, 1 << order, owner)
@@ -198,12 +202,8 @@ class BuddyAllocator:
         if san is not None:
             # Before mutating: the shadow state names the bug precisely
             # (double-free vs free-of-reserved vs free-of-mapped).
-            san.on_free(base, self._allocated_order.get(base))
-        order = self._allocated_order.pop(base, None)
-        if order is None:
-            raise ReproError(
-                f"{self.memory.name}: frame {base} is not an allocation base"
-            )
+            san.on_free(base, self.order_allocated_at(base))
+        order = self._take_allocation(base)
         self.memory.set_range_state(base, 1 << order, FrameState.FREE)
         self._free_frames += 1 << order
         if _tp_free.enabled:
@@ -255,21 +255,16 @@ class BuddyAllocator:
             while current > 0:
                 current -= 1
                 half = base + (1 << current)
+                self._free[current][base if frame >= half else half] = None
+                self.stats.splits += 1
+                if _tp_split.enabled:
+                    _tp_split.emit(order=current, base=base, buddy=half)
                 if frame >= half:
-                    self._free[current][base] = None
-                    self.stats.splits += 1
-                    if _tp_split.enabled:
-                        _tp_split.emit(order=current, base=base, buddy=half)
                     base = half
-                else:
-                    self._free[current][half] = None
-                    self.stats.splits += 1
-                    if _tp_split.enabled:
-                        _tp_split.emit(order=current, base=base, buddy=half)
-            self._allocated_order[frame] = 0
+            self._allocated_order[frame] = 1
             self._free_frames -= 1
             self.stats.record_alloc(0)
-            self.memory.set_state(frame, state, owner)
+            self.memory.set_state(frame, state)
             san = self.sanitizer
             if san is not None:
                 san.on_alloc(frame, 1, owner, site="buddy.alloc_frame_at")
@@ -289,17 +284,22 @@ class BuddyAllocator:
         so single reserved pages can later be returned to the free lists by
         the reclamation daemon or by the application's ``free()``.
         """
-        order = self._allocated_order.pop(base, None)
-        if order is None:
-            raise ReproError(
-                f"{self.memory.name}: frame {base} is not an allocation base"
-            )
-        for frame in range(base, base + (1 << order)):
-            self._allocated_order[frame] = 0
+        count = 1 << self._take_allocation(base)
+        self._allocated_order[base:base + count] = b"\x01" * count
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+
+    def _take_allocation(self, base: int) -> int:
+        """Forget the live allocation based at ``base``; return its order."""
+        order = self.order_allocated_at(base)
+        if order is None:
+            raise ReproError(
+                f"{self.memory.name}: frame {base} is not an allocation base"
+            )
+        self._allocated_order[base] = 0
+        return order
 
     @staticmethod
     def _check_order(order: int) -> None:
@@ -347,7 +347,8 @@ class BuddyAllocator:
             raise InvariantViolation(
                 f"free-frame count {self._free_frames} != lists {total_free}"
             )
-        for base, order in self._allocated_order.items():
+        allocated = enumerate(self._allocated_order)
+        for base, order in ((b, code - 1) for b, code in allocated if code):
             if base % (1 << order) != 0:
                 raise InvariantViolation(
                     f"allocation {base} misaligned for order {order}"

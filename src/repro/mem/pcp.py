@@ -78,12 +78,7 @@ class PerCpuPageCache:
             return len(self._lists[self._check_cpu(cpu)])
         return sum(len(entries) for entries in self._lists.values())
 
-    def alloc_frame(
-        self,
-        cpu: int,
-        owner: Optional[int] = None,
-        state: FrameState = FrameState.USER,
-    ) -> int:
+    def alloc_frame(self, cpu: int, state: FrameState = FrameState.USER) -> int:
         """Allocate one frame from ``cpu``'s cache (LIFO), refilling on
         demand from the buddy core."""
         cpu = self._check_cpu(cpu)
@@ -99,7 +94,7 @@ class PerCpuPageCache:
         san = self.buddy.sanitizer
         if san is not None:
             san.on_pcp_take(frame, cpu)
-        self.buddy.memory.set_state(frame, state, owner)
+        self.buddy.memory.set_state(frame, state)
         return frame
 
     def _refill(self, cpu: int) -> None:
@@ -130,7 +125,7 @@ class PerCpuPageCache:
         """Return one frame to ``cpu``'s cache, draining past the
         watermark."""
         cpu = self._check_cpu(cpu)
-        self.buddy.memory.set_state(frame, FrameState.KERNEL, None)
+        self.buddy.memory.set_state(frame, FrameState.KERNEL)
         entries = self._lists[cpu]
         entries.append(frame)
         san = self.buddy.sanitizer

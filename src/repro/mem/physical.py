@@ -1,17 +1,19 @@
-"""Flat physical-memory model: an array of page frames with ownership tags.
+"""Flat physical-memory model: one state byte per page frame.
 
 A :class:`PhysicalMemory` instance represents the RAM of one machine (host
 or guest). It does not store data -- the simulator only cares about *which*
 frames back *which* pages -- but it does track, per frame, whether the frame
-is free, who owns it, and what it is used for. That bookkeeping is what
-lets the fragmentation metrics and the PTEMagnet reclamation daemon reason
-about the state of memory.
+is free and what it is used for, in a fixed array indexed by frame number
+(Linux's ``mem_map``): one byte per frame, however many are allocated. The
+owner of a frame is not recorded here; the sanitizer and the ``buddy.alloc``
+tracepoint carry it. The meminfo counts and the invariant checks read this
+array.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, Optional
+from typing import Iterator
 
 from ..errors import InvalidAddressError
 from ..units import PAGE_SIZE
@@ -31,6 +33,12 @@ class FrameState(enum.Enum):
     KERNEL = "kernel"
 
 
+#: A frame's state byte is the state's index here; FREE is code 0, so a
+#: zeroed array is all-free memory.
+_STATES = tuple(FrameState)
+_CODE = {state: code for code, state in enumerate(_STATES)}
+
+
 class PhysicalMemory:
     """Bookkeeping for the physical frames of one machine.
 
@@ -47,8 +55,7 @@ class PhysicalMemory:
             raise ValueError("num_frames must be positive")
         self.name = name
         self.num_frames = num_frames
-        self._state: Dict[int, FrameState] = {}
-        self._owner: Dict[int, int] = {}
+        self._state = bytearray(num_frames)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -69,64 +76,36 @@ class PhysicalMemory:
     def state_of(self, frame: int) -> FrameState:
         """Return the current :class:`FrameState` of ``frame``."""
         self.check_frame(frame)
-        return self._state.get(frame, FrameState.FREE)
-
-    def owner_of(self, frame: int) -> Optional[int]:
-        """Return the owner id of ``frame``, or ``None`` if unowned."""
-        self.check_frame(frame)
-        return self._owner.get(frame)
+        return _STATES[self._state[frame]]
 
     def is_free(self, frame: int) -> bool:
         """True if ``frame`` is not in use."""
         return self.state_of(frame) is FrameState.FREE
 
     def frames_in_state(self, state: FrameState) -> Iterator[int]:
-        """Yield every frame currently in ``state`` (sparse scan)."""
-        if state is FrameState.FREE:
-            for frame in range(self.num_frames):
-                if self._state.get(frame, FrameState.FREE) is FrameState.FREE:
-                    yield frame
-            return
-        for frame, current in self._state.items():
-            if current is state:
-                yield frame
+        """Yield every frame currently in ``state``, in frame order."""
+        code = _CODE[state]
+        states = self._state
+        frame = states.find(code)
+        while frame >= 0:
+            yield frame
+            frame = states.find(code, frame + 1)
 
     def count_in_state(self, state: FrameState) -> int:
         """Number of frames currently in ``state``."""
-        if state is FrameState.FREE:
-            non_free = sum(
-                1 for s in self._state.values() if s is not FrameState.FREE
-            )
-            return self.num_frames - non_free
-        return sum(1 for s in self._state.values() if s is state)
+        return self._state.count(_CODE[state])
 
     # ------------------------------------------------------------------ #
     # State transitions
     # ------------------------------------------------------------------ #
 
-    def set_state(
-        self, frame: int, state: FrameState, owner: Optional[int] = None
-    ) -> None:
-        """Set the state (and optionally the owner) of one frame."""
+    def set_state(self, frame: int, state: FrameState) -> None:
+        """Set the state of one frame."""
         if not 0 <= frame < self.num_frames:
             self.check_frame(frame)
-        if state is FrameState.FREE:
-            self._state.pop(frame, None)
-            self._owner.pop(frame, None)
-            return
-        self._state[frame] = state
-        if owner is None:
-            self._owner.pop(frame, None)
-        else:
-            self._owner[frame] = owner
+        self._state[frame] = _CODE[state]
 
-    def set_range_state(
-        self,
-        base: int,
-        count: int,
-        state: FrameState,
-        owner: Optional[int] = None,
-    ) -> None:
+    def set_range_state(self, base: int, count: int, state: FrameState) -> None:
         """Set the state of ``count`` contiguous frames starting at ``base``.
 
         The range is checked once, before any frame changes: a range that
@@ -138,16 +117,4 @@ class PhysicalMemory:
         end = base + count
         if base < 0 or end > self.num_frames:
             self.check_frame(base if base < 0 else max(base, self.num_frames))
-        states = self._state
-        owners = self._owner
-        if state is FrameState.FREE:
-            for frame in range(base, end):
-                states.pop(frame, None)
-                owners.pop(frame, None)
-            return
-        for frame in range(base, end):
-            states[frame] = state
-            if owner is None:
-                owners.pop(frame, None)
-            else:
-                owners[frame] = owner
+        self._state[base:end] = bytes((_CODE[state],)) * count

@@ -16,11 +16,11 @@ from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..config import GuestConfig, MachineConfig
-from ..core.allocator import PTEMagnetAllocator
+from ..core.allocator import PTEMagnetAllocator, release_reservation
 from ..core.part import PageReservationTable
 from ..core.policy import EnablementPolicy
 from ..core.reclaimer import ReclaimReport, ReservationReclaimer
-from ..errors import SegmentationFault, SimulationError
+from ..errors import OutOfMemoryError, SegmentationFault, SimulationError
 from ..invariants import check_fault_invariants, invariants_enabled
 from ..mem.buddy import BuddyAllocator
 from ..mem.pcp import PerCpuPageCache
@@ -171,12 +171,9 @@ class GuestKernel:
             self.munmap(process, vma.start_vpn, vma.npages)
         if process.part is not None:
             for reservation in list(process.part.iter_reservations()):
-                unmapped = reservation.unmapped_frames()
-                if self.sanitizer is not None:
-                    self.sanitizer.on_unreserve(unmapped, site="exit")
-                for frame in unmapped:
-                    self.buddy.free(frame)
-                process.part.remove(reservation.group)
+                release_reservation(
+                    self.buddy, process.part, reservation, "exit"
+                )
         process.page_table.destroy()
         # destroy() re-creates an empty root; release it too on exit.
         self.buddy.free(process.page_table.root.frame)
@@ -282,8 +279,7 @@ class GuestKernel:
                 self.stats.fault_cycles += huge.cycles
                 self.stats.fault_latencies.record(huge.cycles)
                 return huge
-        outcome = self._allocate_for_fault(process, vpn)
-        process.page_table.map(vpn, outcome.frame, PRESENT)
+        outcome = self._fault_in(process, vpn)
         process.faults += 1
         self.stats.faults += 1
         self.stats.fault_cycles += outcome.cycles
@@ -306,19 +302,20 @@ class GuestKernel:
             return None
         if not self._huge_range_empty(process, base):
             return None
-        from ..errors import OutOfMemoryError
-
         try:
             frame_base = self.buddy.alloc(9, owner=process.pid)
         except OutOfMemoryError:
             # Direct compaction stalls the faulting thread, then gives up
             # (the latency-spike pathology the paper cites).
             self.stats.thp_fallback_faults += 1
-            outcome = self._allocate_for_fault(process, vpn)
-            process.page_table.map(vpn, outcome.frame, PRESENT)
+            outcome = self._fault_in(process, vpn)
             cycles = outcome.cycles + self.machine.compaction_stall_cycles
             return FaultOutcome(outcome.frame, cycles, FaultKind.THP_FALLBACK)
-        process.page_table.map_huge(base, frame_base)
+        try:
+            process.page_table.map_huge(base, frame_base)
+        except OutOfMemoryError as exc:
+            self.buddy.free(frame_base)
+            raise self._fault_oom(process, vpn, exc) from exc
         self.stats.thp_faults += 1
         cycles = self.machine.page_fault_cycles + self.machine.thp_alloc_cycles
         return FaultOutcome(
@@ -361,16 +358,49 @@ class GuestKernel:
             self._notify_unmap(process.pid, base + offset)
         self.stats.thp_splits += 1
 
+    @staticmethod
+    def _parent_part(process: Process) -> Optional[PageReservationTable]:
+        parent = process.parent
+        return parent.part if parent is not None and parent.alive else None
+
+    def _fault_in(self, process: Process, vpn: int) -> FaultOutcome:
+        """Allocate a frame for the fault at ``vpn`` and map it.
+
+        Out of memory, the error names the fault. If the frame came but
+        the page table could not grow, the frame, never mapped, first goes
+        back through the path that handed it out.
+        """
+        outcome = None
+        try:
+            outcome = self._allocate_for_fault(process, vpn)
+            process.page_table.map(vpn, outcome.frame, PRESENT)
+        except OutOfMemoryError as exc:
+            kind = None if outcome is None else outcome.kind
+            if kind in (FaultKind.RESERVATION_HIT, FaultKind.RESERVATION_NEW):
+                self.ptemagnet.cancel_fault(
+                    process.part, vpn, outcome.frame, self._parent_part(process)
+                )
+            elif kind is FaultKind.DEFAULT and self.pcp is not None:
+                self.pcp.free_frame(process.pid, outcome.frame)
+            elif kind is not None:
+                self.buddy.free(outcome.frame)
+            raise self._fault_oom(process, vpn, exc) from exc
+        return outcome
+
+    def _fault_oom(
+        self, process: Process, vpn: int, exc: Exception
+    ) -> OutOfMemoryError:
+        kernel = "default" if self.ptemagnet is None else "PTEMagnet"
+        return OutOfMemoryError(
+            f"guest: pid {process.pid}: fault at vpn {vpn:#x} on the "
+            f"{kernel} kernel: {exc}"
+        )
+
     def _allocate_for_fault(self, process: Process, vpn: int) -> FaultOutcome:
         machine = self.machine
         if self.ptemagnet is not None and process.part is not None:
-            parent_part = (
-                process.parent.part
-                if process.parent is not None and process.parent.alive
-                else None
-            )
             result = self.ptemagnet.fault(
-                process.part, vpn, process.pid, parent_part
+                process.part, vpn, process.pid, self._parent_part(process)
             )
             if result.from_reservation:
                 self.stats.reservation_hit_faults += 1
@@ -401,7 +431,7 @@ class GuestKernel:
         if self.pcp is not None:
             # Faults of one process arrive on its own vCPU (threads are
             # pinned, §6.1), so its pcp list is keyed by pid.
-            frame = self.pcp.alloc_frame(process.pid, owner=process.pid)
+            frame = self.pcp.alloc_frame(process.pid)
         else:
             frame = default_alloc(self.buddy, process.pid)
         self.stats.default_faults += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..core.allocator import release_reservation
 from .kernel import GuestKernel
 from .process import Process
 
@@ -73,11 +74,7 @@ class SwapDaemon:
             return
         group = self.kernel.ptemagnet._group(vpn)
         entry = victim.part.lookup(group)
-        if entry is None:
-            return
-        unmapped = entry.unmapped_frames()
-        if self.kernel.sanitizer is not None:
-            self.kernel.sanitizer.on_unreserve(unmapped, site="swap.evict")
-        for frame in unmapped:
-            self.kernel.buddy.free(frame)
-        victim.part.remove(group)
+        if entry is not None:
+            release_reservation(
+                self.kernel.buddy, victim.part, entry, "swap.evict"
+            )

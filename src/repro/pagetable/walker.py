@@ -92,12 +92,10 @@ class PageWalker:
         path, leaf_pte = self.page_table.walk_path_and_pte(vpn)
         start_depth = 0
         if self.pwc is not None:
-            hit = self.pwc.lookup(vpn)
-            if hit is not None:
-                hit_level, _frame = hit
-                # A hit at `hit_level` supplies that node's frame directly,
-                # so the walk starts by accessing that node and skips all
-                # levels above it.
+            hit_level = self.pwc.lookup(vpn)
+            if hit_level is not None:
+                # A hit at `hit_level` lets the walk start by accessing
+                # that node, skipping all levels above it.
                 start_depth = min(levels - hit_level, len(path))
         cycles = 0
         accesses = 0
@@ -116,7 +114,7 @@ class PageWalker:
             if record_trace:
                 trace.append((level, addr, latency))
             if self.pwc is not None:
-                self.pwc.fill(vpn, level, node_frame)
+                self.pwc.fill(vpn, level)
         frame = None
         if leaf_pte is not None:
             frame = pte_frame(leaf_pte)

@@ -146,70 +146,45 @@ class FrameSanitizer:
         allocation's order, or ``None`` when the allocator has no record
         of ``base`` (the shadow state then names the actual bug)."""
         if order is None:
-            shadow = self._shadow(base)
-            messages = {
-                FrameLifecycle.FREE: (
-                    "double-free",
-                    "frame is already on the free lists "
-                    f"(freed at: {shadow.site or 'initial state'})",
-                ),
-                FrameLifecycle.RESERVED: (
-                    "free-of-reserved",
-                    f"frame is PaRT-reserved for pid {shadow.owner}; "
-                    "reservations must be released before their frames "
-                    "are freed",
-                ),
-                FrameLifecycle.MAPPED: (
-                    "free-of-mapped",
-                    "frame is still mapped by "
-                    f"{sorted(shadow.mappers.items())}",
-                ),
-                FrameLifecycle.PCP: (
-                    "free-of-pcp-cached",
-                    f"frame sits in a per-CPU cache ({shadow.site})",
-                ),
-                FrameLifecycle.HELD: (
-                    "free-of-non-base",
-                    "frame is allocated but is not an allocation base",
-                ),
-            }
-            kind, detail = messages[shadow.state]
-            self._violation(kind, base, detail)
-            return
+            self._free_violation(base, self._shadow(base))
         for frame in range(base, base + (1 << order)):
             shadow = self._shadow(frame)
-            if shadow.state is FrameLifecycle.RESERVED:
-                self._violation(
-                    "free-of-reserved",
-                    frame,
-                    f"frame is PaRT-reserved for pid {shadow.owner}; "
-                    "reservations must be released before their frames "
-                    "are freed",
-                )
-            elif shadow.state is FrameLifecycle.MAPPED:
-                self._violation(
-                    "free-of-mapped",
-                    frame,
-                    "frame is still mapped by "
-                    f"{sorted(shadow.mappers.items())}",
-                )
-            elif shadow.state is FrameLifecycle.PCP:
-                self._violation(
-                    "free-of-pcp-cached",
-                    frame,
-                    f"frame sits in a per-CPU cache ({shadow.site})",
-                )
-            elif shadow.state is FrameLifecycle.FREE:
-                self._violation(
-                    "double-free",
-                    frame,
-                    "frame is already on the free lists "
-                    f"(freed at: {shadow.site or 'initial state'})",
-                )
+            if shadow.state is not FrameLifecycle.HELD:
+                self._free_violation(frame, shadow)
             shadow.state = FrameLifecycle.FREE
             shadow.owner = None
             shadow.site = "buddy.free"
             shadow.mappers.clear()
+
+    def _free_violation(self, frame: int, shadow: ShadowFrame) -> None:
+        """Raise the violation of freeing ``frame`` in its shadow state
+        (HELD only when ``frame`` is no allocation base)."""
+        kind, detail = {
+            FrameLifecycle.FREE: (
+                "double-free",
+                "frame is already on the free lists "
+                f"(freed at: {shadow.site or 'initial state'})",
+            ),
+            FrameLifecycle.RESERVED: (
+                "free-of-reserved",
+                f"frame is PaRT-reserved for pid {shadow.owner}; "
+                "reservations must be released before their frames "
+                "are freed",
+            ),
+            FrameLifecycle.MAPPED: (
+                "free-of-mapped",
+                f"frame is still mapped by {sorted(shadow.mappers.items())}",
+            ),
+            FrameLifecycle.PCP: (
+                "free-of-pcp-cached",
+                f"frame sits in a per-CPU cache ({shadow.site})",
+            ),
+            FrameLifecycle.HELD: (
+                "free-of-non-base",
+                "frame is allocated but is not an allocation base",
+            ),
+        }[shadow.state]
+        self._violation(kind, frame, detail)
 
     # ------------------------------------------------------------------ #
     # Per-CPU page caches

@@ -129,9 +129,7 @@ class NestedWalker:
         guest_pwc = self.guest_pwc
         start_level = guest_pt.levels
         if guest_pwc is not None:
-            hit = guest_pwc.lookup(gvpn)
-            if hit is not None:
-                start_level = hit[0]
+            start_level = guest_pwc.lookup(gvpn) or start_level
         if _tp_walk_enter.enabled:
             depth = len(guest_pt.walk_path(gvpn))
             _tp_walk_enter.emit(
@@ -176,9 +174,7 @@ class NestedWalker:
                     while True:
                         host_start = host_pt.levels
                         if host_pwc is not None:
-                            hit = host_pwc.lookup(gfn)
-                            if hit is not None:
-                                host_start = hit[0]
+                            host_start = host_pwc.lookup(gfn) or host_start
                         hnode = host_pt.root
                         hlevel = host_pt.levels
                         while True:
@@ -197,7 +193,7 @@ class NestedWalker:
                                     step = (f"hl{hlevel}", outcome.lower())
                                     PROFILER.add(context + step, latency)
                                 if host_pwc is not None:
-                                    host_pwc.fill(gfn, hlevel, hnode.frame)
+                                    host_pwc.fill(gfn, hlevel)
                             if hlevel == 1:
                                 hpte = hnode.entries.get(hindex)
                                 if hpte is not None and hpte & PRESENT:
@@ -244,7 +240,7 @@ class NestedWalker:
                         host_accesses=walk_accesses,
                     )
                 if guest_pwc is not None:
-                    guest_pwc.fill(gvpn, level, gfn)
+                    guest_pwc.fill(gvpn, level)
             # Descend the guest PT; a hole is a guest page fault.
             if level == 1:
                 pte = node.entries.get(index)

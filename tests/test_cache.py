@@ -180,40 +180,42 @@ class TestPageWalkCache:
 
     def test_fill_and_hit_deepest_level(self):
         pwc = PageWalkCache(8)
-        pwc.fill(0x123, 3, 50)
-        pwc.fill(0x123, 1, 52)
-        level, frame = pwc.lookup(0x123)
-        assert (level, frame) == (1, 52)
+        pwc.fill(0x123, 3)
+        pwc.fill(0x123, 1)
+        assert pwc.lookup(0x123) == 1
+        assert pwc.hits == 1
 
     def test_prefix_sharing(self):
         pwc = PageWalkCache(8)
-        pwc.fill(0, 1, 50)
+        pwc.fill(0, 1)
         # Pages 0..511 share the same leaf node.
-        assert pwc.lookup(511) == (1, 50)
+        assert pwc.lookup(511) == 1
         assert pwc.lookup(512) is None
 
     def test_capacity_eviction(self):
         pwc = PageWalkCache(2)
-        pwc.fill(0 << 9, 1, 1)
-        pwc.fill(1 << 9, 1, 2)
-        pwc.fill(2 << 9, 1, 3)  # evicts the oldest (prefix 0)
-        assert pwc.lookup(0) is None
+        pwc.fill(0 << 9, 1)
+        pwc.fill(1 << 9, 1)
+        assert pwc.lookup(0) == 1  # prefix 0 is now the newest
+        pwc.fill(2 << 9, 1)  # evicts the oldest (prefix 1)
+        assert pwc.lookup(1 << 9) is None
+        assert pwc.lookup(0) == 1
 
     def test_zero_entries_disables(self):
         pwc = PageWalkCache(0)
-        pwc.fill(0, 1, 5)
+        pwc.fill(0, 1)
         assert pwc.lookup(0) is None
 
     def test_invalidate_vpn(self):
         pwc = PageWalkCache(8)
-        pwc.fill(0x123, 1, 5)
-        pwc.fill(0x123, 2, 6)
+        pwc.fill(0x123, 1)
+        pwc.fill(0x123, 2)
         pwc.invalidate_vpn(0x123)
         assert pwc.lookup(0x123) is None
 
     def test_flush(self):
         pwc = PageWalkCache(8)
-        pwc.fill(0x123, 1, 5)
+        pwc.fill(0x123, 1)
         pwc.flush()
         assert pwc.occupancy() == [0, 0, 0, 0]
 

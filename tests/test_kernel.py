@@ -1,19 +1,23 @@
 """Tests for the guest kernel: fault paths, frees, process lifecycle."""
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.config import GuestConfig, MachineConfig
-from repro.errors import SegmentationFault, SimulationError
+from repro.config import GuestConfig, MachineConfig, PlatformConfig
+from repro.errors import OutOfMemoryError, SegmentationFault, SimulationError
 from repro.invariants import check_kernel, check_page_table
 from repro.mem.physical import FrameState
 from repro.os.fault import FaultKind
 from repro.os.fork import fork
 from repro.os.kernel import GuestKernel
 from repro.os.reclaim import SwapDaemon
+from repro.pagetable.pte import pte_frame
 from repro.sanitizer import ENV_FLAG
-from repro.units import MB, PTES_PER_NODE, RESERVATION_PAGES
+from repro.sim.engine import Simulation
+from repro.units import MB, PAGE_SIZE, PTES_PER_NODE, RESERVATION_PAGES
+from repro.workloads.registry import make_benchmark
 
 
 def make_kernel(ptemagnet=False, memory_mb=32, **kwargs):
@@ -289,6 +293,136 @@ class TestStats:
         assert kernel.stats.reservation_new_faults == 1
         assert kernel.stats.reservation_hit_faults == RESERVATION_PAGES - 1
         assert kernel.stats.faults == RESERVATION_PAGES
+
+
+def assert_no_orphans(kernel, process):
+    """No USER frame lacks a PTE, and no PaRT slot marked mapped lacks
+    the PTE that maps it to its frame."""
+    page_table = process.page_table
+    mapped = {pte_frame(pte) for _vpn, pte in page_table.iter_mappings()}
+    assert set(kernel.memory.frames_in_state(FrameState.USER)) == mapped
+    if process.part is not None:
+        for reservation in process.part.iter_reservations():
+            for slot in reservation.mapped_slots():
+                vpn = reservation.group * RESERVATION_PAGES + slot
+                assert page_table.translate(vpn) == reservation.base_frame + slot
+    check_kernel(kernel)
+
+
+class TestFaultOutOfMemory:
+    """A fault that runs out of guest memory names itself and leaks
+    nothing."""
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("ptemagnet", [False, True])
+    @pytest.mark.parametrize("short_of", ["frame", "leaf"])
+    def test_fault_out_of_memory_leaks_nothing(
+        self, monkeypatch, short_of, ptemagnet, sanitize
+    ):
+        # Short of a leaf, the fault gets its data frame(s) and then finds
+        # no frame for the new leaf node its vpn needs; that frame, never
+        # mapped, must go back.
+        if sanitize:
+            monkeypatch.setenv(ENV_FLAG, "1")
+        else:
+            monkeypatch.delenv(ENV_FLAG, raising=False)
+        kernel = make_kernel(ptemagnet=ptemagnet, memory_mb=1)
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, 2 * PTES_PER_NODE)
+        kernel.handle_fault(p, vma.start_vpn)
+        data = RESERVATION_PAGES if ptemagnet else 1
+        left = data if short_of == "leaf" else 0
+        held = [
+            kernel.buddy.alloc_frame(state=FrameState.KERNEL)
+            for _ in range(kernel.buddy.free_frames - left)
+        ]
+        vpn = vma.start_vpn + PTES_PER_NODE  # in the next leaf node
+        name = "PTEMagnet" if ptemagnet else "default"
+        with pytest.raises(
+            OutOfMemoryError,
+            match=rf"pid {p.pid}: fault at vpn {vpn:#x} on the {name} kernel",
+        ):
+            kernel.handle_fault(p, vpn)
+        if ptemagnet and short_of == "leaf":
+            assert kernel.ptemagnet.stats.reservations_created == 2
+        assert p.page_table.translate(vpn) is None
+        assert kernel.buddy.free_frames == left
+        assert_no_orphans(kernel, p)
+        for frame in held:
+            kernel.buddy.free(frame)
+        outcome = kernel.handle_fault(p, vpn)
+        assert p.page_table.translate(vpn) == outcome.frame
+        assert_no_orphans(kernel, p)
+        kernel.exit_process(p)
+
+    def test_huge_mapping_without_node_frames_frees_its_block(self):
+        kernel = make_kernel(memory_mb=4, thp_enabled=True)
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, 3 * PTES_PER_NODE)
+        base = -(-vma.start_vpn // PTES_PER_NODE) * PTES_PER_NODE
+        # Hold every free frame outside one order-9 block, so the huge
+        # block comes but no frame is left for its level-3 and -2 nodes.
+        held = [
+            kernel.buddy.alloc_frame(state=FrameState.KERNEL)
+            for _ in range(kernel.buddy.free_frames - PTES_PER_NODE)
+        ]
+        assert kernel.buddy.free_blocks(9) == 1
+        with pytest.raises(
+            OutOfMemoryError, match=rf"fault at vpn {base:#x} on the default"
+        ):
+            kernel.handle_fault(p, base)
+        assert kernel.buddy.free_blocks(9) == 1
+        assert p.page_table.translate(base) is None
+        assert_no_orphans(kernel, p)
+        for frame in held:
+            kernel.buddy.free(frame)
+        assert kernel.handle_fault(p, base).kind is FaultKind.THP
+
+    @pytest.mark.parametrize("ptemagnet", [False, True])
+    def test_simulation_out_of_memory_names_the_fault(self, ptemagnet):
+        platform = PlatformConfig().with_ptemagnet(ptemagnet)
+        guest = dataclasses.replace(platform.guest, memory_bytes=200 * PAGE_SIZE)
+        sim = Simulation(dataclasses.replace(platform, guest=guest))
+        run = sim.add_workload(make_benchmark("pagerank", 0))
+        name = "PTEMagnet" if ptemagnet else "default"
+        with pytest.raises(
+            OutOfMemoryError,
+            match=rf"guest: pid {run.process.pid}: fault at vpn 0x[0-9a-f]+ "
+            rf"on the {name} kernel: guest: no free block of order >= 0",
+        ):
+            sim.run_until_finished(run)
+        assert_no_orphans(sim.kernel, run.process)
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("mapped", [1, RESERVATION_PAGES - 1])
+    def test_cancelled_hit_returns_its_frame(self, monkeypatch, mapped, sanitize):
+        # A hit on a reservation with one slot left completes it and its
+        # PaRT entry goes, so the cancelled frame is freed on its own;
+        # otherwise the slot rejoins the reservation.
+        if sanitize:
+            monkeypatch.setenv(ENV_FLAG, "1")
+        else:
+            monkeypatch.delenv(ENV_FLAG, raising=False)
+        kernel = make_kernel(ptemagnet=True)
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, RESERVATION_PAGES * 2)
+        base = -(-vma.start_vpn // RESERVATION_PAGES) * RESERVATION_PAGES
+        for vpn in range(base, base + mapped):
+            kernel.handle_fault(p, vpn)
+        free = kernel.buddy.free_frames
+        result = kernel.ptemagnet.fault(p.part, base + mapped, p.pid)
+        assert result.from_reservation
+        kernel.ptemagnet.cancel_fault(p.part, base + mapped, result.frame)
+        completed = mapped == RESERVATION_PAGES - 1
+        assert len(p.part) == (0 if completed else 1)
+        assert kernel.buddy.free_frames == free + completed
+        state = FrameState.FREE if completed else FrameState.RESERVED
+        assert kernel.memory.state_of(result.frame) is state
+        assert_no_orphans(kernel, p)
+        refault = kernel.handle_fault(p, base + mapped)
+        if not completed:
+            assert refault.frame == result.frame
+        kernel.exit_process(p)
 
 
 def watch_shootdowns(kernel):

@@ -88,10 +88,10 @@ class TestPcpBasics:
         pcp.alloc_frame(0)
         assert pcp.free_frames_total == 1024 - 1
 
-    def test_owner_and_state_set(self):
+    def test_state_set(self):
         _buddy, pcp = make_pcp()
-        frame = pcp.alloc_frame(2, owner=42, state=FrameState.USER)
-        assert pcp.buddy.memory.owner_of(frame) == 42
+        frame = pcp.alloc_frame(2, state=FrameState.USER)
+        assert pcp.buddy.memory.state_of(frame) is FrameState.USER
 
 
 class TestKernelWithPcp:

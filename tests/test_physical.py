@@ -23,20 +23,19 @@ class TestConstruction:
 class TestStateTransitions:
     def test_set_and_query_state(self):
         mem = PhysicalMemory(16)
-        mem.set_state(3, FrameState.USER, owner=42)
+        mem.set_state(3, FrameState.USER)
         assert mem.state_of(3) is FrameState.USER
-        assert mem.owner_of(3) == 42
 
-    def test_free_clears_owner(self):
+    def test_free_clears_state(self):
         mem = PhysicalMemory(16)
-        mem.set_state(3, FrameState.USER, owner=42)
+        mem.set_state(3, FrameState.USER)
         mem.set_state(3, FrameState.FREE)
         assert mem.is_free(3)
-        assert mem.owner_of(3) is None
+        assert mem.count_in_state(FrameState.USER) == 0
 
     def test_set_range_state(self):
         mem = PhysicalMemory(16)
-        mem.set_range_state(4, 4, FrameState.RESERVED, owner=1)
+        mem.set_range_state(4, 4, FrameState.RESERVED)
         assert all(
             mem.state_of(frame) is FrameState.RESERVED for frame in range(4, 8)
         )
@@ -45,9 +44,9 @@ class TestStateTransitions:
         # The range is checked before any frame moves; the error names
         # the first frame outside, as a frame-by-frame check would.
         mem = PhysicalMemory(16)
-        mem.set_state(14, FrameState.USER, owner=3)
+        mem.set_state(14, FrameState.USER)
         with pytest.raises(InvalidAddressError, match=r"frame 16 outside \[0, 16\)"):
-            mem.set_range_state(12, 8, FrameState.KERNEL, owner=1)
+            mem.set_range_state(12, 8, FrameState.KERNEL)
         with pytest.raises(InvalidAddressError, match="frame -2 outside"):
             mem.set_range_state(-2, 4, FrameState.FREE)
         with pytest.raises(InvalidAddressError, match="frame 20 outside"):
@@ -55,13 +54,13 @@ class TestStateTransitions:
         assert [mem.state_of(frame) for frame in range(16)] == (
             [FrameState.FREE] * 14 + [FrameState.USER, FrameState.FREE]
         )
-        assert mem.owner_of(14) == 3
 
-    def test_state_change_without_owner_clears_owner(self):
+    def test_state_change_replaces_state(self):
         mem = PhysicalMemory(16)
-        mem.set_state(5, FrameState.USER, owner=9)
+        mem.set_state(5, FrameState.USER)
         mem.set_state(5, FrameState.RESERVED)
-        assert mem.owner_of(5) is None
+        assert mem.state_of(5) is FrameState.RESERVED
+        assert mem.count_in_state(FrameState.USER) == 0
 
     def test_out_of_range_raises(self):
         mem = PhysicalMemory(16)
@@ -69,6 +68,9 @@ class TestStateTransitions:
             mem.state_of(16)
         with pytest.raises(InvalidAddressError):
             mem.set_state(-1, FrameState.USER)
+        # A negative frame must not wrap around to the end of the array.
+        with pytest.raises(InvalidAddressError):
+            mem.state_of(-1)
 
 
 class TestCountsAndScans:
@@ -82,9 +84,9 @@ class TestCountsAndScans:
         mem = PhysicalMemory(8)
         mem.set_state(2, FrameState.KERNEL)
         mem.set_state(5, FrameState.KERNEL)
-        assert sorted(mem.frames_in_state(FrameState.KERNEL)) == [2, 5]
+        assert list(mem.frames_in_state(FrameState.KERNEL)) == [2, 5]
 
     def test_frames_in_free_state(self):
         mem = PhysicalMemory(4)
         mem.set_state(1, FrameState.USER)
-        assert sorted(mem.frames_in_state(FrameState.FREE)) == [0, 2, 3]
+        assert list(mem.frames_in_state(FrameState.FREE)) == [0, 2, 3]

@@ -227,9 +227,9 @@ class RefNestedWalker:
         path, leaf_pte = self.guest_pt.walk_path_and_pte(gvpn)
         start = 0
         if self.guest_pwc is not None:
-            hit = self.guest_pwc.lookup(gvpn)
-            if hit is not None:
-                start = min(self.guest_pt.levels - hit[0], len(path))
+            hit_level = self.guest_pwc.lookup(gvpn)
+            if hit_level is not None:
+                start = min(self.guest_pt.levels - hit_level, len(path))
         if _walk_enter.enabled:
             _walk_enter.emit(vpn=gvpn, start_depth=start)
         cycles = host_cycles = guest_accesses = host_accesses = 0
@@ -255,7 +255,7 @@ class RefNestedWalker:
                     host_accesses=walk_accesses,
                 )
             if self.guest_pwc is not None:
-                self.guest_pwc.fill(gvpn, level, node_frame)
+                self.guest_pwc.fill(gvpn, level)
         guest_frame = host_frame = None
         if leaf_pte is not None:
             guest_frame = pte_frame(leaf_pte)

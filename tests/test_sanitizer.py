@@ -172,7 +172,7 @@ class TestSeededBugs:
     def test_free_of_pcp_cached_frame_is_caught(self):
         kernel = make_kernel()
         pcp = PerCpuPageCache(kernel.buddy, cpus=1)
-        frame = pcp.alloc_frame(0, owner=1)
+        frame = pcp.alloc_frame(0)
         pcp.free_frame(0, frame)
         with pytest.raises(SanitizerViolation, match="free-of-pcp-cached"):
             kernel.buddy.free(frame)

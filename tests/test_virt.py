@@ -39,7 +39,6 @@ class TestHostKernel:
         assert hfn1 == hfn2
         assert host.stats.ept_faults == 1
         assert host.memory.state_of(hfn1) is FrameState.USER
-        assert host.memory.owner_of(hfn1) == vm.vm_id
 
     def test_gfn_out_of_range(self, host, vm):
         with pytest.raises(SimulationError):
