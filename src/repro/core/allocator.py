@@ -63,6 +63,8 @@ class FaultPathResult(NamedTuple):
     created_reservation: bool
     #: True if the allocator fell back to a plain single-page allocation.
     fallback: bool
+    #: True if the frame came from the parent's reservation (§4.4).
+    from_parent: bool = False
 
 
 def release_reservation(
@@ -128,7 +130,7 @@ class PTEMagnetAllocator:
         process was forked from a PTEMagnet-enabled parent) is checked
         first per the §4.4 fork rule. Raises
         :class:`~repro.errors.OutOfMemoryError` only when not even a single
-        page can be allocated.
+        page can be allocated, and then counts nothing.
         """
         self.stats.faults += 1
         group = vpn >> self.reservation_order
@@ -172,6 +174,7 @@ class PTEMagnetAllocator:
                 from_reservation=True,
                 created_reservation=False,
                 fallback=False,
+                from_parent=used_part is not part,
             )
 
         # No usable reservation: try to create one. A child never creates
@@ -181,7 +184,13 @@ class PTEMagnetAllocator:
                 self.reservation_order, owner=owner, state=FrameState.RESERVED
             )
         except OutOfMemoryError:
-            frame = self.buddy.alloc_frame(owner=owner, state=FrameState.USER)
+            try:
+                frame = self.buddy.alloc_frame(
+                    owner=owner, state=FrameState.USER
+                )
+            except OutOfMemoryError:
+                self._uncount(part, group, parent_part, None)
+                raise
             self.stats.fallback_single_pages += 1
             if PROFILER.enabled:
                 PROFILER.add(("alloc", "part", "fallback"), 0)
@@ -269,32 +278,73 @@ class PTEMagnetAllocator:
         self,
         part: PageReservationTable,
         vpn: int,
-        frame: int,
+        result: FaultPathResult,
         parent_part: Optional[PageReservationTable] = None,
     ) -> None:
-        """Give back ``frame``, which :meth:`fault` took from a reservation
-        for ``vpn`` but the kernel could not map.
+        """Undo :meth:`fault`'s ``result`` for ``vpn``: the kernel could not
+        map its frame.
 
-        The slot rejoins its reservation, and an emptied reservation
-        returns its frames to the buddy allocator, as in
+        A frame from a reservation rejoins its slot, and an emptied
+        reservation returns its frames to the buddy allocator, as in
         :meth:`free_page`. If the fault completed its reservation, the
         PaRT entry is gone and the frame is freed like any page of a
-        completed reservation. The frame was never mapped, so its
-        sanitizer shadow state is still RESERVED.
+        completed reservation. A fallback page is freed as it came. The
+        frame was never mapped, so its sanitizer shadow state is still
+        what the fault left. Then every count the fault made is taken
+        back, so a failed fault leaves these stats and the PaRT counters
+        as it found them.
         """
         group = vpn >> self.reservation_order
-        slot = vpn & (self.reservation_pages - 1)
-        for table in (part, parent_part):
-            entry = None if table is None else table.lookup(group)
-            if entry is not None and entry.base_frame + slot == frame:
-                entry.unmap_slot(slot)
+        frame = result.frame
+        if result.fallback:
+            self.buddy.free(frame)
+        else:
+            table = parent_part if result.from_parent else part
+            entry = table.probe(group)
+            if entry is None:
+                self.stats.reservations_completed -= 1
+                san = self.buddy.sanitizer
+                if san is not None:
+                    san.on_unreserve((frame,), site="part.cancel_fault")
+                self.buddy.free(frame)
+            else:
+                # Take back map_slot: the slot was never used.
+                entry.mask &= ~(1 << (vpn & (self.reservation_pages - 1)))
+                entry.lock.acquisitions -= 1
+                entry.ever_mapped -= 1
                 self.buddy.memory.set_state(frame, FrameState.RESERVED)
                 if not entry.mask:
                     release_reservation(
                         self.buddy, table, entry, "part.cancel_fault"
                     )
-                return
-        san = self.buddy.sanitizer
-        if san is not None:
-            san.on_unreserve((frame,), site="part.cancel_fault")
-        self.buddy.free(frame)
+        self._uncount(part, group, parent_part, result)
+
+    def _uncount(
+        self,
+        part: PageReservationTable,
+        group: int,
+        parent_part: Optional[PageReservationTable],
+        result: Optional[FaultPathResult],
+    ) -> None:
+        """Take back what :meth:`fault` counted for ``group`` before it
+        failed. ``result`` is what it handed out, already given back, or
+        ``None`` if it handed out nothing. A PaRT lookup hit if its table
+        holds an entry for the group now, or if the fault's hit took it."""
+        stats = self.stats
+        stats.faults -= 1
+        hit = result is not None and result.from_reservation
+        from_parent = hit and result.from_parent
+        created = result is not None and result.created_reservation
+        own_hit = (hit and not from_parent) or part.probe(group) is not None
+        part.uncount(group, own_hit, inserted=created)
+        if parent_part is not None and not own_hit:
+            parent_hit = from_parent or parent_part.probe(group) is not None
+            parent_part.uncount(group, parent_hit)
+            if parent_hit:
+                stats.parent_reservation_hits -= 1
+        if hit:
+            stats.reservation_hits -= 1
+        elif created:
+            stats.reservations_created -= 1
+        elif result is not None:
+            stats.fallback_single_pages -= 1

@@ -99,6 +99,41 @@ class PageReservationTable:
             self.lookup_hits += 1
         return entry
 
+    def probe(self, group: int) -> Optional[Reservation]:
+        """Return the live reservation for ``group``, if any, counting
+        nothing: for checks and undo paths, which must not perturb the
+        lookup and lock counts the experiments report."""
+        node = self.root
+        shift = _ROOT_SHIFT
+        while shift:
+            node = node.children.get((group >> shift) & _SLOT_MASK)
+            if node is None:
+                return None
+            shift -= BITS_PER_LEVEL
+        return node.entries.get(group & _SLOT_MASK)
+
+    def uncount(self, group: int, hit: bool, inserted: bool = False) -> None:
+        """Take back one lookup of ``group``, a hit if ``hit``, and the
+        insert after it if ``inserted``: the counts of a fault that failed.
+
+        Each took one lock on every node of the group's radix path that
+        was there. A node the failed fault created has gone again, and
+        its counts with it, so this walks the path as it stands now.
+        """
+        self.lookups -= 1
+        if hit:
+            self.lookup_hits -= 1
+        passes = 2 if inserted else 1
+        node = self.root
+        node.lock.acquisitions -= passes
+        shift = _ROOT_SHIFT
+        while shift:
+            node = node.children.get((group >> shift) & _SLOT_MASK)
+            if node is None:
+                return
+            node.lock.acquisitions -= passes
+            shift -= BITS_PER_LEVEL
+
     def insert(self, reservation: Reservation) -> None:
         """Install a new reservation; interior nodes are created on demand."""
         group = reservation.group

@@ -178,10 +178,11 @@ def _check_reservation(reservation, claimed: Dict[int, int]) -> None:
 def check_page_table(page_table: "PageTable") -> None:
     """Level consistency and accounting of one radix page table.
 
-    Checks that child levels decrease by one per edge, slot indices are in
-    range, translations live only in leaf nodes (or level 2 with the HUGE
-    bit), every node frame is distinct, and the cached ``node_count`` /
-    ``mapped_pages`` totals match the tree.
+    Checks that child levels decrease by one per edge, every node has
+    512-slot arrays, translations live only in leaf nodes (or level 2 with
+    the HUGE bit), every node frame is distinct, each node's
+    ``live_slots`` counts its populated slots, and the cached
+    ``node_count`` / ``mapped_pages`` totals match the tree.
     """
     from .pagetable.pte import PteFlags, pte_present
     from .pagetable.radix import PageTable as _PageTable
@@ -205,21 +206,31 @@ def check_page_table(page_table: "PageTable") -> None:
                 f"frame {node.frame} backs two page-table nodes"
             )
         node_frames[node.frame] = node.level
-        if node.is_leaf and node.children:
+        for slots in (node.children, node.entries):
+            if slots is not None and len(slots) != PTES_PER_NODE:
+                raise InvariantViolation(
+                    f"page-table node {node.frame} has {len(slots)} slots, "
+                    f"not {PTES_PER_NODE}"
+                )
+        children = [
+            child for child in node.children or () if child is not None
+        ]
+        entries = [pte for pte in node.entries or () if pte]
+        if node.is_leaf and children:
             raise InvariantViolation(
                 f"leaf page-table node {node.frame} has children"
             )
-        if node.entries and not node.is_leaf and node.level != 2:
+        if entries and not node.is_leaf and node.level != 2:
             raise InvariantViolation(
                 f"level-{node.level} page-table node {node.frame} holds "
                 "translations (only leaf and level-2 huge entries allowed)"
             )
-        for index in list(node.children) + list(node.entries):
-            if not 0 <= index < PTES_PER_NODE:
-                raise InvariantViolation(
-                    f"page-table slot {index} outside [0, {PTES_PER_NODE})"
-                )
-        for pte in node.entries.values():
+        if node.live_slots != len(children) + len(entries):
+            raise InvariantViolation(
+                f"page-table node {node.frame} live_slots {node.live_slots} "
+                f"!= populated slots {len(children) + len(entries)}"
+            )
+        for pte in entries:
             if not pte_present(pte):
                 raise InvariantViolation(
                     "non-present PTE stored in a page-table node"
@@ -232,7 +243,7 @@ def check_page_table(page_table: "PageTable") -> None:
                         "level-2 page-table entry without the HUGE bit"
                     )
                 mapped += _PageTable.HUGE_PAGES
-        for child in node.children.values():
+        for child in children:
             stack.append((child, expected_level - 1))
     if nodes != page_table.node_count:
         raise InvariantViolation(
@@ -333,7 +344,7 @@ def check_fault_path(
     _check_frame_not_on_free_lists(kernel.buddy, frame)
     if process.part is not None and kernel.ptemagnet is not None:
         group = vpn >> kernel.ptemagnet.reservation_order
-        reservation = _probe(process.part, group)
+        reservation = process.part.probe(group)
         if reservation is not None:
             _check_reservation(reservation, {})
 
@@ -347,23 +358,6 @@ def _check_frame_not_on_free_lists(buddy: "BuddyAllocator", frame: int) -> None:
                 f"frame {frame} is mapped but lies inside free block "
                 f"{base} of order {order}"
             )
-
-
-def _probe(part: "PageReservationTable", group: int):
-    """Fetch the reservation for ``group`` without part.lookup().
-
-    The contract must not perturb the lookup/lock counters the
-    experiments report, so it walks the radix path directly.
-    """
-    from .core.part import _indices
-
-    node = part.root
-    indices = _indices(group)
-    for index in indices[:-1]:
-        node = node.children.get(index)
-        if node is None:
-            return None
-    return node.entries.get(indices[-1])
 
 
 def check_fault_invariants(

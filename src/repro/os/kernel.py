@@ -16,7 +16,11 @@ from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..config import GuestConfig, MachineConfig
-from ..core.allocator import PTEMagnetAllocator, release_reservation
+from ..core.allocator import (
+    FaultPathResult,
+    PTEMagnetAllocator,
+    release_reservation,
+)
 from ..core.part import PageReservationTable
 from ..core.policy import EnablementPolicy
 from ..core.reclaimer import ReclaimReport, ReservationReclaimer
@@ -37,6 +41,17 @@ from .vma import Protection, Vma
 
 _tp_fault_enter = tracepoint("fault.enter")
 _tp_fault_exit = tracepoint("fault.exit")
+
+#: The :class:`KernelStats` counter a 4KB fault of each kind bumps when it
+#: takes its frame, and takes back if the page then cannot be mapped.
+_KIND_COUNTERS = {
+    FaultKind.DEFAULT: "default_faults",
+    FaultKind.RESERVATION_HIT: "reservation_hit_faults",
+    FaultKind.RESERVATION_NEW: "reservation_new_faults",
+    FaultKind.FALLBACK: "fallback_faults",
+    FaultKind.CA_CONTIGUOUS: "ca_contiguous_faults",
+    FaultKind.CA_FALLBACK: "ca_fallback_faults",
+}
 
 
 @dataclass
@@ -307,8 +322,8 @@ class GuestKernel:
         except OutOfMemoryError:
             # Direct compaction stalls the faulting thread, then gives up
             # (the latency-spike pathology the paper cites).
-            self.stats.thp_fallback_faults += 1
             outcome = self._fault_in(process, vpn)
+            self.stats.thp_fallback_faults += 1
             cycles = outcome.cycles + self.machine.compaction_stall_cycles
             return FaultOutcome(outcome.frame, cycles, FaultKind.THP_FALLBACK)
         try:
@@ -332,11 +347,11 @@ class GuestKernel:
         indices = process.page_table._indices(base)
         node = process.page_table.root
         for index in indices[:-2]:
-            node = node.children.get(index)
+            node = node.children[index]
             if node is None:
                 return True
         slot = indices[-2]
-        return slot not in node.children and slot not in node.entries
+        return node.children[slot] is None and not node.entries[slot]
 
     def split_huge(self, process: Process, vpn: int) -> None:
         """Demote the huge mapping covering ``vpn`` into 4KB mappings.
@@ -366,24 +381,37 @@ class GuestKernel:
     def _fault_in(self, process: Process, vpn: int) -> FaultOutcome:
         """Allocate a frame for the fault at ``vpn`` and map it.
 
-        Out of memory, the error names the fault. If the frame came but
-        the page table could not grow, the frame, never mapped, first goes
-        back through the path that handed it out.
+        Out of memory, the error names the fault, and the fault counts
+        nowhere. If the frame came but the page table could not grow, the
+        frame, never mapped, first goes back through the path that handed
+        it out, and the counts the fault made are taken back.
         """
-        outcome = None
+        part = process.part
+        reserved = outcome = None
         try:
-            outcome = self._allocate_for_fault(process, vpn)
+            if part is not None and self.ptemagnet is not None:
+                reserved = self.ptemagnet.fault(
+                    part, vpn, process.pid, self._parent_part(process)
+                )
+                outcome = self._reservation_fault(process, reserved)
+            else:
+                outcome = self._allocate_for_fault(process, vpn)
             process.page_table.map(vpn, outcome.frame, PRESENT)
         except OutOfMemoryError as exc:
             kind = None if outcome is None else outcome.kind
-            if kind in (FaultKind.RESERVATION_HIT, FaultKind.RESERVATION_NEW):
+            if reserved is not None:
                 self.ptemagnet.cancel_fault(
-                    process.part, vpn, outcome.frame, self._parent_part(process)
+                    part, vpn, reserved, self._parent_part(process)
                 )
             elif kind is FaultKind.DEFAULT and self.pcp is not None:
                 self.pcp.free_frame(process.pid, outcome.frame)
             elif kind is not None:
                 self.buddy.free(outcome.frame)
+            if kind is not None:
+                counter = _KIND_COUNTERS[kind]
+                setattr(self.stats, counter, getattr(self.stats, counter) - 1)
+                if kind is FaultKind.RESERVATION_HIT:
+                    process.reservation_hits -= 1
             raise self._fault_oom(process, vpn, exc) from exc
         return outcome
 
@@ -396,36 +424,36 @@ class GuestKernel:
             f"{kernel} kernel: {exc}"
         )
 
-    def _allocate_for_fault(self, process: Process, vpn: int) -> FaultOutcome:
+    def _reservation_fault(
+        self, process: Process, result: FaultPathResult
+    ) -> FaultOutcome:
+        """Count a fault the PTEMagnet allocator served with ``result``;
+        returns its outcome, with its modelled cost."""
         machine = self.machine
-        if self.ptemagnet is not None and process.part is not None:
-            result = self.ptemagnet.fault(
-                process.part, vpn, process.pid, self._parent_part(process)
-            )
-            if result.from_reservation:
-                self.stats.reservation_hit_faults += 1
-                process.reservation_hits += 1
-                cycles = machine.page_fault_cycles + machine.part_lookup_cycles
-                return FaultOutcome(
-                    result.frame, cycles, FaultKind.RESERVATION_HIT
-                )
-            if result.created_reservation:
-                self.stats.reservation_new_faults += 1
-                cycles = (
-                    machine.page_fault_cycles
-                    + 2 * machine.part_lookup_cycles  # lookup + insert
-                    + machine.buddy_call_cycles
-                )
-                return FaultOutcome(
-                    result.frame, cycles, FaultKind.RESERVATION_NEW
-                )
-            self.stats.fallback_faults += 1
+        if result.from_reservation:
+            self.stats.reservation_hit_faults += 1
+            process.reservation_hits += 1
+            cycles = machine.page_fault_cycles + machine.part_lookup_cycles
+            return FaultOutcome(result.frame, cycles, FaultKind.RESERVATION_HIT)
+        if result.created_reservation:
+            self.stats.reservation_new_faults += 1
             cycles = (
                 machine.page_fault_cycles
-                + machine.part_lookup_cycles
+                + 2 * machine.part_lookup_cycles  # lookup + insert
                 + machine.buddy_call_cycles
             )
-            return FaultOutcome(result.frame, cycles, FaultKind.FALLBACK)
+            return FaultOutcome(result.frame, cycles, FaultKind.RESERVATION_NEW)
+        self.stats.fallback_faults += 1
+        cycles = (
+            machine.page_fault_cycles
+            + machine.part_lookup_cycles
+            + machine.buddy_call_cycles
+        )
+        return FaultOutcome(result.frame, cycles, FaultKind.FALLBACK)
+
+    def _allocate_for_fault(self, process: Process, vpn: int) -> FaultOutcome:
+        """Take a frame for the fault at ``vpn`` off the PTEMagnet path,
+        and count the fault."""
         if self.config.ca_paging_enabled:
             return self._ca_allocate(process, vpn)
         if self.pcp is not None:
@@ -435,6 +463,7 @@ class GuestKernel:
         else:
             frame = default_alloc(self.buddy, process.pid)
         self.stats.default_faults += 1
+        machine = self.machine
         cycles = machine.page_fault_cycles + machine.buddy_call_cycles
         return FaultOutcome(frame, cycles, FaultKind.DEFAULT)
 

@@ -38,9 +38,6 @@ COW = int(PteFlags.COW)
 #: Mask selecting the flag bits of an encoded PTE.
 FLAGS_MASK = (1 << PAGE_SHIFT) - 1
 
-#: The canonical not-present entry.
-PTE_EMPTY = 0
-
 
 def make_pte(frame: int, flags: PteFlags = PteFlags.PRESENT) -> int:
     """Encode ``frame`` and ``flags`` into a PTE integer."""

@@ -5,11 +5,17 @@ owning kernel's buddy allocator, so the *physical address of each PTE* is
 well defined: ``node_frame * 4096 + index * 8``. The page walker uses
 those addresses to drive the cache hierarchy -- which is the entire point
 of the paper: whether consecutive walks touch the same PTE cache blocks.
+
+A node stores its slots as that frame does: a fixed 512-slot array of
+encoded PTEs (0 is an empty slot) and, on interior nodes, a 512-slot list
+of child nodes (``None`` is an empty slot). Its memory is bounded by the
+node count, however many PTEs it holds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..errors import PageTableError
 from ..units import (
@@ -18,46 +24,46 @@ from ..units import (
     PT_INDEX_MASK,
     PT_LEVELS,
     PT_LEVELS_RANGE,
+    PTE_SIZE,
     PTES_PER_NODE,
     pt_indices,
     pt_indices_for,
 )
-from .pte import (
-    HUGE,
-    PRESENT,
-    PTE_EMPTY,
-    PteFlags,
-    make_pte,
-    pte_frame,
-    pte_present,
-)
+from .pte import HUGE, PRESENT, PteFlags, make_pte, pte_frame
+
+#: One node's PTE slots as bytes, all empty: the image a new node's
+#: ``entries`` array is built from.
+_EMPTY_SLOTS = bytes(PTES_PER_NODE * PTE_SIZE)
 
 
 class PageTableNode:
     """One radix-tree node: 512 slots in a single physical frame.
 
     ``level`` runs from :data:`~repro.units.PT_LEVELS` (root, PGD) down to 1
-    (leaf, holding actual translations). Interior slots hold child nodes;
-    leaf slots hold encoded PTE integers.
+    (leaf, holding actual translations). ``entries`` holds encoded PTEs on
+    leaf and level-2 (huge) nodes, 0 in an empty slot, and is ``None``
+    above; ``children`` holds child nodes on interior nodes, ``None`` in
+    an empty slot, and is ``None`` on a leaf.
     """
 
-    __slots__ = ("frame", "level", "children", "entries")
+    __slots__ = ("frame", "level", "children", "entries", "live_slots")
 
     def __init__(self, frame: int, level: int) -> None:
         self.frame = frame
         self.level = level
-        self.children: Dict[int, "PageTableNode"] = {}
-        self.entries: Dict[int, int] = {}
+        self.children: Optional[List[Optional["PageTableNode"]]] = (
+            None if level == 1 else [None] * PTES_PER_NODE
+        )
+        self.entries: Optional[array] = (
+            array("Q", _EMPTY_SLOTS) if level <= 2 else None
+        )
+        #: Populated slots, child and PTE alike. A level-2 node can hold
+        #: huge entries beside its child nodes; both keep it alive.
+        self.live_slots = 0
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 1
-
-    @property
-    def live_slots(self) -> int:
-        """Number of populated slots in this node. A level-2 node can hold
-        huge entries beside its child nodes; both keep it alive."""
-        return len(self.entries) + len(self.children)
 
 
 class PageTable:
@@ -119,21 +125,22 @@ class PageTable:
         level = self.levels
         while level > 1:
             index = (vpn >> ((level - 1) * BITS_PER_LEVEL)) & PT_INDEX_MASK
-            child = node.children.get(index)
+            child = node.children[index]
             if child is None:
                 child = PageTableNode(self._alloc_frame(), level - 1)
                 node.children[index] = child
+                node.live_slots += 1
                 self.node_count += 1
             node = child
             level -= 1
         entries = node.entries
         slot = vpn & PT_INDEX_MASK
-        pte = entries.get(slot)
-        if pte is not None and pte & PRESENT:
+        if entries[slot] & PRESENT:
             raise PageTableError(f"vpn {vpn:#x} already mapped")
         if pfn < 0:
             raise ValueError("frame must be non-negative")
         entries[slot] = (pfn << PAGE_SHIFT) | int(flags) | PRESENT
+        node.live_slots += 1
         self.mapped_pages += 1
         san = self.sanitizer
         if san is not None:
@@ -151,18 +158,21 @@ class PageTable:
         indices = self._indices(vpn)
         node = self.root
         for index in indices[:-2]:
-            child = node.children.get(index)
+            child = node.children[index]
             if child is None:
                 child = PageTableNode(self._alloc_frame(), node.level - 1)
                 node.children[index] = child
+                node.live_slots += 1
                 self.node_count += 1
             node = child
         huge_index = indices[-2]
-        if huge_index in node.children or pte_present(
-            node.entries.get(huge_index, PTE_EMPTY)
+        if (
+            node.children[huge_index] is not None
+            or node.entries[huge_index] & PRESENT
         ):
             raise PageTableError(f"vpn {vpn:#x} already mapped at level 2")
         node.entries[huge_index] = make_pte(pfn, PRESENT | HUGE)
+        node.live_slots += 1
         self.mapped_pages += self.HUGE_PAGES
         san = self.sanitizer
         if san is not None:
@@ -175,15 +185,17 @@ class PageTable:
         path: List[Tuple[PageTableNode, int]] = []
         node = self.root
         for index in indices[:-2]:
-            child = node.children.get(index)
+            child = node.children[index]
             if child is None:
                 raise PageTableError(f"vpn {vpn:#x} has no huge mapping")
             path.append((node, index))
             node = child
         huge_index = indices[-2]
-        pte = node.entries.pop(huge_index, PTE_EMPTY)
-        if not pte_present(pte) or not pte & HUGE:
+        pte = node.entries[huge_index]
+        if not pte & PRESENT or not pte & HUGE:
             raise PageTableError(f"vpn {vpn:#x} has no huge mapping")
+        node.entries[huge_index] = 0
+        node.live_slots -= 1
         self.mapped_pages -= self.HUGE_PAGES
         san = self.sanitizer
         if san is not None:
@@ -203,15 +215,17 @@ class PageTable:
         path: List[Tuple[PageTableNode, int]] = []
         node = self.root
         for index in indices[:-1]:
-            child = node.children.get(index)
+            child = node.children[index]
             if child is None:
                 raise PageTableError(f"vpn {vpn:#x} not mapped")
             path.append((node, index))
             node = child
         leaf_index = indices[-1]
-        pte = node.entries.pop(leaf_index, PTE_EMPTY)
-        if not pte_present(pte):
+        pte = node.entries[leaf_index]
+        if not pte & PRESENT:
             raise PageTableError(f"vpn {vpn:#x} not mapped")
+        node.entries[leaf_index] = 0
+        node.live_slots -= 1
         self.mapped_pages -= 1
         san = self.sanitizer
         if san is not None:
@@ -246,8 +260,8 @@ class PageTable:
                 shift = (level - 1) * BITS_PER_LEVEL
                 index = (vpn >> shift) & PT_INDEX_MASK
                 if level == 2:
-                    huge = node.entries.get(index)
-                    if huge is not None and huge & PRESENT:
+                    huge = node.entries[index]
+                    if huge & PRESENT:
                         if vpn == split_vpn:
                             raise PageTableError(
                                 f"huge mapping at vpn {vpn:#x} was not split"
@@ -258,7 +272,7 @@ class PageTable:
                             PRESENT | HUGE,
                         )
                         break
-                child = node.children.get(index)
+                child = node.children[index]
                 if child is None:
                     vpn = ((vpn >> shift) + 1) << shift
                     break
@@ -271,17 +285,18 @@ class PageTable:
                 san = self.sanitizer
                 for page in range(vpn, stop):
                     slot = page & PT_INDEX_MASK
-                    pte = entries.get(slot)
-                    if pte is None or not pte & PRESENT:
+                    pte = entries[slot]
+                    if not pte & PRESENT:
                         continue
-                    del entries[slot]
+                    entries[slot] = 0
+                    node.live_slots -= 1
                     self.mapped_pages -= 1
                     if san is not None:
                         san.on_unmap(self.owner_pid, page, pte_frame(pte))
-                    if not entries:
+                    if not node.live_slots:
                         self._prune(path)
                     yield page, pte
-                    if not entries:
+                    if not node.live_slots:
                         break
                 vpn = stop
 
@@ -291,14 +306,15 @@ class PageTable:
             child = parent.children[index]
             if child.live_slots:
                 break
-            del parent.children[index]
+            parent.children[index] = None
+            parent.live_slots -= 1
             self._release_frame(child.frame)
             self.node_count -= 1
 
     def update(self, vpn: int, pfn: int, flags: PteFlags) -> None:
         """Replace the translation for an already-mapped ``vpn``."""
         node, leaf_index = self._leaf_for(vpn)
-        if node is None or not pte_present(node.entries.get(leaf_index, 0)):
+        if node is None or not node.entries[leaf_index] & PRESENT:
             raise PageTableError(f"vpn {vpn:#x} not mapped")
         old_pte = node.entries[leaf_index]
         node.entries[leaf_index] = make_pte(pfn, int(flags) | PRESENT)
@@ -327,17 +343,17 @@ class PageTable:
         while level > 1:
             index = (vpn >> ((level - 1) * BITS_PER_LEVEL)) & PT_INDEX_MASK
             if level == 2:
-                huge = node.entries.get(index)
-                if huge is not None and huge & PRESENT:
+                huge = node.entries[index]
+                if huge & PRESENT:
                     return make_pte(
                         pte_frame(huge) + (vpn & PT_INDEX_MASK), PRESENT | HUGE
                     )
-            node = node.children.get(index)
+            node = node.children[index]
             if node is None:
                 return None
             level -= 1
-        pte = node.entries.get(vpn & PT_INDEX_MASK)
-        if pte is None or not pte & PRESENT:
+        pte = node.entries[vpn & PT_INDEX_MASK]
+        if not pte & PRESENT:
             return None
         return pte
 
@@ -375,8 +391,8 @@ class PageTable:
         path = [(node.level, node.frame, indices[0])]
         for depth in range(self.levels - 1):
             if node.level == 2:
-                huge = node.entries.get(indices[depth])
-                if huge is not None and huge & 1:
+                huge = node.entries[indices[depth]]
+                if huge & PRESENT:
                     # Level-2 huge entry: the walk terminates here; the
                     # translated frame is the page's slot within the 2MB
                     # frame range.
@@ -384,13 +400,13 @@ class PageTable:
                     return path, make_pte(
                         pte_frame(huge) + offset, PRESENT | HUGE
                     )
-            child = node.children.get(indices[depth])
+            child = node.children[indices[depth]]
             if child is None:
                 return path, None
             node = child
             path.append((node.level, node.frame, indices[depth + 1]))
-        pte = node.entries.get(indices[-1])
-        if pte is None or not pte & 1:  # PRESENT bit
+        pte = node.entries[indices[-1]]
+        if not pte & PRESENT:
             return path, None
         return path, pte
 
@@ -398,7 +414,7 @@ class PageTable:
         indices = self._indices(vpn)
         node = self.root
         for index in indices[:-1]:
-            child = node.children.get(index)
+            child = node.children[index]
             if child is None:
                 return None, indices[-1]
             node = child
@@ -416,17 +432,15 @@ class PageTable:
         self, node: PageTableNode, vpn_prefix: int
     ) -> Iterator[Tuple[int, int]]:
         if node.is_leaf:
-            for index in sorted(node.entries):
-                pte = node.entries[index]
-                if pte_present(pte):
+            for index, pte in enumerate(node.entries):
+                if pte & PRESENT:
                     yield (vpn_prefix << BITS_PER_LEVEL) | index, pte
             return
         if node.level == 2:
             # Expand huge entries to per-4KB pairs so metrics and teardown
             # code see a uniform view.
-            for index in sorted(node.entries):
-                pte = node.entries[index]
-                if not pte_present(pte):
+            for index, pte in enumerate(node.entries):
+                if not pte & PRESENT:
                     continue
                 base_vpn = ((vpn_prefix << BITS_PER_LEVEL) | index) << BITS_PER_LEVEL
                 base_frame = pte_frame(pte)
@@ -434,46 +448,59 @@ class PageTable:
                     yield base_vpn + offset, make_pte(
                         base_frame + offset, PRESENT | HUGE
                     )
-        for index in sorted(node.children):
-            child = node.children[index]
-            yield from self._iter_node(
-                child, (vpn_prefix << BITS_PER_LEVEL) | index
-            )
+        for index, child in enumerate(node.children):
+            if child is not None:
+                yield from self._iter_node(
+                    child, (vpn_prefix << BITS_PER_LEVEL) | index
+                )
+
+    def _nodes(self) -> Iterator[Tuple[PageTableNode, int]]:
+        """Yield every node with its vpn prefix, parents before children
+        and siblings in slot (address) order."""
+        stack = [(self.root, 0)]
+        while stack:
+            node, prefix = stack.pop()
+            yield node, prefix
+            children = node.children
+            if children is not None:
+                for index in range(PT_INDEX_MASK, -1, -1):
+                    child = children[index]
+                    if child is not None:
+                        stack.append(
+                            (child, (prefix << BITS_PER_LEVEL) | index)
+                        )
 
     def destroy(self) -> None:
-        """Release every node frame (process teardown)."""
+        """Release every node frame (process teardown): each node after
+        its children, siblings in slot order, as Linux's
+        ``free_pgd_range`` does."""
         self._destroy_node(self.root)
         self.root = PageTableNode(self._alloc_frame(), self.levels)
         self.mapped_pages = 0
         self.node_count = 1
 
     def _destroy_node(self, node: PageTableNode) -> None:
-        for child in node.children.values():
-            self._destroy_node(child)
+        if node.children is not None:
+            for child in node.children:
+                if child is not None:
+                    self._destroy_node(child)
         self._release_frame(node.frame)
 
     def huge_mappings(self) -> Iterator[Tuple[int, int]]:
-        """Yield every live huge mapping as ``(base_vpn, base_frame)``."""
-        stack = [(self.root, 0)]
-        while stack:
-            node, prefix = stack.pop()
+        """Yield every live huge mapping as ``(base_vpn, base_frame)``, in
+        address order."""
+        for node, prefix in self._nodes():
             if node.level == 2:
-                for index, pte in node.entries.items():
-                    if pte_present(pte):
+                for index, pte in enumerate(node.entries):
+                    if pte & PRESENT:
                         base_vpn = (
                             (prefix << BITS_PER_LEVEL) | index
                         ) << BITS_PER_LEVEL
                         yield base_vpn, pte_frame(pte)
-            if not node.is_leaf:
-                for index, child in node.children.items():
-                    stack.append((child, (prefix << BITS_PER_LEVEL) | index))
 
     def leaf_nodes(self) -> Iterator[PageTableNode]:
-        """Yield every leaf (level-1) node currently in the tree."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+        """Yield every leaf (level-1) node currently in the tree, in
+        address order."""
+        for node, _prefix in self._nodes():
             if node.is_leaf:
                 yield node
-            else:
-                stack.extend(node.children.values())

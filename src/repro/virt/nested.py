@@ -195,18 +195,18 @@ class NestedWalker:
                                 if host_pwc is not None:
                                     host_pwc.fill(gfn, hlevel)
                             if hlevel == 1:
-                                hpte = hnode.entries.get(hindex)
-                                if hpte is not None and hpte & PRESENT:
+                                hpte = hnode.entries[hindex]
+                                if hpte & PRESENT:
                                     hfn = hpte >> PAGE_SHIFT
                                 break
                             if hlevel == 2:
-                                huge = hnode.entries.get(hindex)
-                                if huge is not None and huge & PRESENT:
+                                huge = hnode.entries[hindex]
+                                if huge & PRESENT:
                                     hfn = (huge >> PAGE_SHIFT) + (
                                         gfn & PT_INDEX_MASK
                                     )
                                     break
-                            hnode = hnode.children.get(hindex)
+                            hnode = hnode.children[hindex]
                             if hnode is None:
                                 break
                             hlevel -= 1
@@ -243,19 +243,19 @@ class NestedWalker:
                     guest_pwc.fill(gvpn, level)
             # Descend the guest PT; a hole is a guest page fault.
             if level == 1:
-                pte = node.entries.get(index)
-                if pte is None or not pte & PRESENT:
+                pte = node.entries[index]
+                if not pte & PRESENT:
                     break
                 guest_frame = pte >> PAGE_SHIFT
                 level = 0
                 continue
             if level == 2:
-                huge = node.entries.get(index)
-                if huge is not None and huge & PRESENT:
+                huge = node.entries[index]
+                if huge & PRESENT:
                     guest_frame = (huge >> PAGE_SHIFT) + (gvpn & PT_INDEX_MASK)
                     level = 0
                     continue
-            node = node.children.get(index)
+            node = node.children[index]
             if node is None:
                 break
             level -= 1

@@ -188,7 +188,7 @@ class RnnServing(CoRunner):
             region = f"hidden-{request}"
             npages = rng.randrange(100, 200)
             yield MmapOp(region, npages)
-            picks = zipf_page_sequence(rng, 900, npages, alpha=1.0)
+            picks = list(zipf_page_sequence(rng, 900, npages, alpha=1.0))
             for page in range(npages):
                 yield AccessOp(region, page, block=rng.randrange(64), write=True)
                 yield AccessOp("embeddings", picks[page], block=rng.randrange(64))

@@ -8,6 +8,7 @@ by an injected ``random.Random`` so streams stay deterministic per seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterator, List, Sequence
 
@@ -48,7 +49,7 @@ def zipf_page_sequence(
     npages: int,
     count: int,
     alpha: float = 0.9,
-) -> List[int]:
+) -> Iterator[int]:
     """Draw ``count`` page indices from a Zipf-like distribution.
 
     Pages are ranked by a random permutation so the hot set is scattered
@@ -57,10 +58,12 @@ def zipf_page_sequence(
     numpy for the heavy lifting; the permutation and draws are fully
     seeded from ``rng``.
 
-    Ranks are drawn :data:`ZIPF_CHUNK` at a time from the one generator.
-    ``choice(..., p=)`` spends one uniform double per draw, so the chunks
-    concatenate to exactly the one-shot draw, while the numpy temporaries
-    stay bounded however long the stream is.
+    The numpy seed is drawn from ``rng`` at the call, so the caller's
+    stream advances exactly as it would for an eager list. The pages come
+    lazily, :data:`ZIPF_CHUNK` ranks per numpy call from the one
+    generator: ``choice(..., p=)`` spends one uniform double per draw, so
+    the chunks concatenate to exactly the one-shot draw, while memory
+    stays bounded by one chunk however long the stream is.
     """
     if npages <= 0 or count < 0:
         raise ValueError("npages must be positive, count non-negative")
@@ -69,13 +72,14 @@ def zipf_page_sequence(
     weights = ranks ** (-alpha)
     weights /= weights.sum()
     permutation = np_rng.permutation(npages)
-    pages: List[int] = []
-    for start in range(0, count, ZIPF_CHUNK):
-        draws = np_rng.choice(
-            npages, size=min(ZIPF_CHUNK, count - start), p=weights
-        )
-        pages.extend(permutation[draws].tolist())
-    return pages
+    # One chunk list at a time, each iterated in C: the stream costs no
+    # Python frame per page.
+    return itertools.chain.from_iterable(
+        permutation[
+            np_rng.choice(npages, size=min(ZIPF_CHUNK, count - start), p=weights)
+        ].tolist()
+        for start in range(0, count, ZIPF_CHUNK)
+    )
 
 
 def random_pages(

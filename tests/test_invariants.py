@@ -185,9 +185,29 @@ class TestPageTableContracts:
         with pytest.raises(InvariantViolation, match="node_count"):
             check_page_table(process.page_table)
 
+    def test_live_slots_drift_is_caught(self):
+        kernel, process, _ = faulted_kernel(pages=16)
+        leaf = next(process.page_table.leaf_nodes())
+        leaf.live_slots += 1
+        with pytest.raises(InvariantViolation, match="live_slots"):
+            check_page_table(process.page_table)
+
+    def test_slot_filled_behind_the_counter_is_caught(self):
+        kernel, process, _ = faulted_kernel(pages=16)
+        leaf = next(process.page_table.leaf_nodes())
+        pte = next(pte for pte in leaf.entries if pte)
+        empty = next(slot for slot, pte in enumerate(leaf.entries) if not pte)
+        leaf.entries[empty] = pte
+        with pytest.raises(InvariantViolation, match="live_slots"):
+            check_page_table(process.page_table)
+
     def test_level_corruption_is_caught(self):
         kernel, process, _ = faulted_kernel(pages=16)
-        node = next(iter(process.page_table.root.children.values()))
+        node = next(
+            child
+            for child in process.page_table.root.children
+            if child is not None
+        )
         node.level += 1
         with pytest.raises(InvariantViolation, match="level"):
             check_page_table(process.page_table)

@@ -16,7 +16,14 @@ from repro.os.reclaim import SwapDaemon
 from repro.pagetable.pte import pte_frame
 from repro.sanitizer import ENV_FLAG
 from repro.sim.engine import Simulation
-from repro.units import MB, PAGE_SIZE, PTES_PER_NODE, RESERVATION_PAGES
+from repro.units import (
+    MB,
+    PAGE_SIZE,
+    PT_INDEX_MASK,
+    PT_LEVELS,
+    PTES_PER_NODE,
+    RESERVATION_PAGES,
+)
 from repro.workloads.registry import make_benchmark
 
 
@@ -309,6 +316,93 @@ def assert_no_orphans(kernel, process):
     check_kernel(kernel)
 
 
+def part_counters(part):
+    """A PaRT's lookups and hits, with the lock count of every node and
+    the lock count, slot mask and ``ever_mapped`` of every reservation,
+    each keyed by its radix path."""
+    counts = []
+    stack = [((), part.root)]
+    while stack:
+        path, node = stack.pop()
+        counts.append((path, node.lock.acquisitions))
+        if node.is_leaf:
+            for index, entry in node.entries.items():
+                counts.append((
+                    path + (index,),
+                    entry.lock.acquisitions,
+                    entry.mask,
+                    entry.ever_mapped,
+                ))
+        else:
+            stack.extend(
+                (path + (index,), child)
+                for index, child in node.children.items()
+            )
+    return part.lookups, part.lookup_hits, sorted(counts)
+
+
+def fault_counters(kernel, *processes):
+    """Every count a fault makes: the kernel's stats and each process's
+    reservation hits, the PTEMagnet allocator's stats, and each PaRT's
+    counters."""
+    stats = dataclasses.asdict(kernel.stats)
+    stats["fault_latencies"] = kernel.stats.fault_latencies.count
+    stats["reservation_hits"] = [p.reservation_hits for p in processes]
+    allocator = (
+        None
+        if kernel.ptemagnet is None
+        else dataclasses.asdict(kernel.ptemagnet.stats)
+    )
+    parts = [part_counters(p.part) for p in processes if p.part is not None]
+    return stats, allocator, parts
+
+
+def hold_free_frames(kernel, keep=0):
+    """Allocate every free frame but ``keep``; returns the held frames."""
+    return [
+        kernel.buddy.alloc_frame(state=FrameState.KERNEL)
+        for _ in range(kernel.buddy.free_frames - keep)
+    ]
+
+
+def fault_short_of_a_leaf(kind):
+    """A kernel, its processes, a vpn and the frames held from the buddy
+    allocator such that the vpn's fault, of ``kind``, gets its frame but
+    none for the leaf node the vpn needs."""
+    options = {
+        FaultKind.RESERVATION_NEW: {"ptemagnet": True},
+        FaultKind.RESERVATION_HIT: {"ptemagnet": True},
+        FaultKind.FALLBACK: {"ptemagnet": True},
+        FaultKind.CA_CONTIGUOUS: {"ca_paging_enabled": True},
+        FaultKind.CA_FALLBACK: {"ca_paging_enabled": True},
+        FaultKind.THP_FALLBACK: {"thp_enabled": True},
+    }.get(kind, {})
+    kernel = make_kernel(memory_mb=1, **options)
+    p = kernel.create_process("app")
+    vma = kernel.mmap(p, 3 * PTES_PER_NODE)
+    base = (vma.start_vpn | PT_INDEX_MASK) + 1  # the next leaf's first page
+    if kind is FaultKind.RESERVATION_HIT:
+        # The child's fault hits the parent's reservation (§4.4), in a
+        # range whose page-table nodes the child unmapped.
+        kernel.handle_fault(p, base)
+        child = fork(kernel, p)
+        kernel.munmap(child, base, 1)
+        return kernel, (child, p), base + 1, hold_free_frames(kernel)
+    for vpn in range(base - RESERVATION_PAGES, base):
+        kernel.handle_fault(p, vpn)
+    if kind is FaultKind.CA_CONTIGUOUS:
+        # Only the frame after the previous page's is left.
+        target = p.page_table.translate(base - 1) + 1
+        held = hold_free_frames(kernel)
+        held.remove(target)
+        kernel.buddy.free(target)
+        return kernel, (p,), base, held
+    keep = RESERVATION_PAGES if kind is FaultKind.RESERVATION_NEW else 1
+    if kind is FaultKind.CA_FALLBACK:
+        base += 1  # the previous page is unmapped
+    return kernel, (p,), base, hold_free_frames(kernel, keep)
+
+
 class TestFaultOutOfMemory:
     """A fault that runs out of guest memory names itself and leaks
     nothing."""
@@ -338,13 +432,15 @@ class TestFaultOutOfMemory:
         ]
         vpn = vma.start_vpn + PTES_PER_NODE  # in the next leaf node
         name = "PTEMagnet" if ptemagnet else "default"
+        before = fault_counters(kernel, p)
         with pytest.raises(
             OutOfMemoryError,
             match=rf"pid {p.pid}: fault at vpn {vpn:#x} on the {name} kernel",
         ):
             kernel.handle_fault(p, vpn)
+        assert fault_counters(kernel, p) == before
         if ptemagnet and short_of == "leaf":
-            assert kernel.ptemagnet.stats.reservations_created == 2
+            assert kernel.ptemagnet.stats.reservations_created == 1
         assert p.page_table.translate(vpn) is None
         assert kernel.buddy.free_frames == left
         assert_no_orphans(kernel, p)
@@ -354,6 +450,59 @@ class TestFaultOutOfMemory:
         assert p.page_table.translate(vpn) == outcome.frame
         assert_no_orphans(kernel, p)
         kernel.exit_process(p)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            FaultKind.DEFAULT,
+            FaultKind.RESERVATION_NEW,
+            FaultKind.RESERVATION_HIT,
+            FaultKind.FALLBACK,
+            FaultKind.CA_CONTIGUOUS,
+            FaultKind.CA_FALLBACK,
+            FaultKind.THP_FALLBACK,
+        ],
+    )
+    def test_failed_fault_counts_nothing(self, kind):
+        kernel, processes, vpn, held = fault_short_of_a_leaf(kind)
+        before = fault_counters(kernel, *processes)
+        with pytest.raises(OutOfMemoryError, match=f"fault at vpn {vpn:#x}"):
+            kernel.handle_fault(processes[0], vpn)
+        assert fault_counters(kernel, *processes) == before
+        check_kernel(kernel)
+        # With frames for the page-table nodes, the same fault maps and
+        # counts once.
+        for frame in held[-PT_LEVELS:]:
+            kernel.buddy.free(frame)
+        assert kernel.handle_fault(processes[0], vpn).kind is kind
+        stats, old = fault_counters(kernel, *processes)[0], before[0]
+        counter = f"{kind.value}_faults"
+        assert stats["faults"] == old["faults"] + 1
+        assert stats[counter] == old[counter] + 1
+
+    def test_failed_child_fault_takes_back_its_parent_lookup(self):
+        # The child's fault finds the parent's reservation with the slot
+        # still mapped by the parent (§4.4), so it creates its own; the
+        # parent's PaRT lookup and hit are taken back with the rest.
+        kernel = make_kernel(ptemagnet=True, memory_mb=1)
+        p = kernel.create_process("app")
+        vma = kernel.mmap(p, 3 * PTES_PER_NODE)
+        base = (vma.start_vpn | PT_INDEX_MASK) + 1
+        kernel.handle_fault(p, base)
+        child = fork(kernel, p)
+        kernel._free_page(child, base)  # the parent keeps its mapping
+        held = hold_free_frames(kernel, RESERVATION_PAGES)
+        before = fault_counters(kernel, child, p)
+        hits = p.part.lookup_hits
+        with pytest.raises(OutOfMemoryError, match=f"fault at vpn {base:#x}"):
+            kernel.handle_fault(child, base)
+        assert fault_counters(kernel, child, p) == before
+        check_kernel(kernel)
+        for frame in held[-PT_LEVELS:]:
+            kernel.buddy.free(frame)
+        outcome = kernel.handle_fault(child, base)
+        assert outcome.kind is FaultKind.RESERVATION_NEW
+        assert p.part.lookup_hits == hits + 1  # the parent's PaRT hit
 
     def test_huge_mapping_without_node_frames_frees_its_block(self):
         kernel = make_kernel(memory_mb=4, thp_enabled=True)
@@ -410,10 +559,17 @@ class TestFaultOutOfMemory:
         for vpn in range(base, base + mapped):
             kernel.handle_fault(p, vpn)
         free = kernel.buddy.free_frames
+        before = fault_counters(kernel, p)
         result = kernel.ptemagnet.fault(p.part, base + mapped, p.pid)
         assert result.from_reservation
-        kernel.ptemagnet.cancel_fault(p.part, base + mapped, result.frame)
+        kernel.ptemagnet.cancel_fault(p.part, base + mapped, result)
         completed = mapped == RESERVATION_PAGES - 1
+        # Every count is taken back. A completed reservation has left the
+        # PaRT, and the lock counts of its entry and nodes with it.
+        after = fault_counters(kernel, p)
+        assert after[:2] == before[:2]
+        assert after[2][0][:2] == before[2][0][:2]  # lookups and hits
+        assert completed or after == before
         assert len(p.part) == (0 if completed else 1)
         assert kernel.buddy.free_frames == free + completed
         state = FrameState.FREE if completed else FrameState.RESERVED

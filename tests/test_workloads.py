@@ -53,21 +53,23 @@ class TestSynthGenerators:
     def test_zipf_is_deterministic_per_rng_seed(self):
         import random
 
-        a = zipf_page_sequence(random.Random(5), 100, 50)
-        b = zipf_page_sequence(random.Random(5), 100, 50)
+        a = list(zipf_page_sequence(random.Random(5), 100, 50))
+        b = list(zipf_page_sequence(random.Random(5), 100, 50))
         assert a == b
 
     def test_zipf_in_range(self):
         import random
 
-        pages = zipf_page_sequence(random.Random(1), 100, 200)
+        pages = list(zipf_page_sequence(random.Random(1), 100, 200))
         assert len(pages) == 200
         assert all(0 <= p < 100 for p in pages)
 
     def test_zipf_is_skewed(self):
         import random
 
-        pages = zipf_page_sequence(random.Random(1), 1000, 5000, alpha=1.2)
+        pages = list(
+            zipf_page_sequence(random.Random(1), 1000, 5000, alpha=1.2)
+        )
         from collections import Counter
 
         counts = Counter(pages)
@@ -93,7 +95,21 @@ class TestSynthGenerators:
             int(permutation[d])
             for d in np_rng.choice(900, size=count, p=weights)
         ]
-        assert zipf_page_sequence(rng, 900, count, alpha=1.0) == expected
+        assert list(zipf_page_sequence(rng, 900, count, alpha=1.0)) == expected
+
+    def test_zipf_draws_its_seed_at_the_call(self):
+        # The stream is lazy, but the numpy seed is not: the caller's rng
+        # has spent exactly one getrandbits(63) when the call returns, so
+        # its later draws do not depend on when the pages are consumed.
+        import random
+
+        rng = random.Random(11)
+        reference = random.Random(11)
+        pages = zipf_page_sequence(rng, 900, 3 * ZIPF_CHUNK)
+        reference.getrandbits(63)
+        assert rng.getstate() == reference.getstate()
+        assert next(pages) in range(900)
+        assert rng.getstate() == reference.getstate()
 
     def test_zipf_validation(self):
         import random
