@@ -16,11 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..config import MachineConfig
-from ..obs.trace import tracepoint
 from ..units import CACHE_BLOCK_SHIFT
 from .set_assoc import SetAssociativeCache
-
-_tp_miss = tracepoint("cache.miss")
 
 
 class AccessOutcome(enum.Enum):
@@ -123,8 +120,6 @@ class CacheHierarchy:
         else:
             outcome = AccessOutcome.MEMORY
             latency = self._memory_latency
-            if _tp_miss.enabled:
-                _tp_miss.emit(block=block, stream=stream)
         self.last_outcome = outcome
         counters = self.streams.get(stream)
         if counters is None:

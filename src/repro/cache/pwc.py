@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..obs.trace import tracepoint
 from ..units import BITS_PER_LEVEL, PT_LEVELS
-
-_tp_miss = tracepoint("pwc.miss")
 
 
 class PageWalkCache:
@@ -59,8 +56,6 @@ class PageWalkCache:
                 self.hits += 1
                 return level
         self.misses += 1
-        if _tp_miss.enabled:
-            _tp_miss.emit(vpn=vpn)
         return None
 
     def fill(self, vpn: int, level: int) -> None:

@@ -28,16 +28,9 @@ from ..errors import OutOfMemoryError
 from ..mem.buddy import BuddyAllocator
 from ..mem.physical import FrameState
 from ..obs.profile import PROFILER
-from ..obs.trace import tracepoint
 from ..units import MAX_RESERVATION_ORDER, RESERVATION_ORDER
 from .part import PageReservationTable
 from .reservation import Reservation
-
-_tp_hit = tracepoint("reservation.hit")
-_tp_new = tracepoint("reservation.new")
-_tp_fallback = tracepoint("reservation.fallback")
-_tp_complete = tracepoint("reservation.complete")
-_tp_free = tracepoint("reservation.free")
 
 
 @dataclass
@@ -49,6 +42,7 @@ class AllocatorStats:
     reservations_created: int = 0
     reservations_completed: int = 0
     fallback_single_pages: int = 0
+    #: Reservation hits served by the parent's PaRT (§4.4).
     parent_reservation_hits: int = 0
 
 
@@ -141,8 +135,6 @@ class PTEMagnetAllocator:
         if entry is None and parent_part is not None:
             entry = parent_part.lookup(group)
             used_part = parent_part
-            if entry is not None:
-                self.stats.parent_reservation_hits += 1
 
         # ``slot`` comes from ``vpn``, so it is in range: test its mask bit
         # and the full mask directly rather than through the checked
@@ -156,25 +148,18 @@ class PTEMagnetAllocator:
                 # (on_unreserve covers *unmapped* leftovers only).
                 used_part.remove(group)
                 self.stats.reservations_completed += 1
-                if _tp_complete.enabled:
-                    _tp_complete.emit(pid=owner, group=group)
             self.stats.reservation_hits += 1
+            from_parent = used_part is not part
+            if from_parent:
+                self.stats.parent_reservation_hits += 1
             if PROFILER.enabled:
                 PROFILER.add(("alloc", "part", "hit"), 0)
-            if _tp_hit.enabled:
-                _tp_hit.emit(
-                    pid=owner,
-                    group=group,
-                    slot=slot,
-                    frame=frame,
-                    from_parent=used_part is not part,
-                )
             return FaultPathResult(
                 frame=frame,
                 from_reservation=True,
                 created_reservation=False,
                 fallback=False,
-                from_parent=used_part is not part,
+                from_parent=from_parent,
             )
 
         # No usable reservation: try to create one. A child never creates
@@ -194,8 +179,6 @@ class PTEMagnetAllocator:
             self.stats.fallback_single_pages += 1
             if PROFILER.enabled:
                 PROFILER.add(("alloc", "part", "fallback"), 0)
-            if _tp_fallback.enabled:
-                _tp_fallback.emit(pid=owner, group=group, frame=frame)
             return FaultPathResult(
                 frame=frame,
                 from_reservation=False,
@@ -218,14 +201,6 @@ class PTEMagnetAllocator:
         self.stats.reservations_created += 1
         if PROFILER.enabled:
             PROFILER.add(("alloc", "part", "new"), 0)
-        if _tp_new.enabled:
-            _tp_new.emit(
-                pid=owner,
-                group=group,
-                slot=slot,
-                base=base,
-                pages=self.reservation_pages,
-            )
         return FaultPathResult(
             frame=frame,
             from_reservation=False,
@@ -270,8 +245,6 @@ class PTEMagnetAllocator:
             release_reservation(
                 self.buddy, part, entry, "part.free_page.emptied"
             )
-        if _tp_free.enabled:
-            _tp_free.emit(group=group, slot=slot, emptied=emptied)
         return True
 
     def cancel_fault(
@@ -340,10 +313,10 @@ class PTEMagnetAllocator:
         if parent_part is not None and not own_hit:
             parent_hit = from_parent or parent_part.probe(group) is not None
             parent_part.uncount(group, parent_hit)
-            if parent_hit:
-                stats.parent_reservation_hits -= 1
         if hit:
             stats.reservation_hits -= 1
+            if from_parent:
+                stats.parent_reservation_hits -= 1
         elif created:
             stats.reservations_created -= 1
         elif result is not None:

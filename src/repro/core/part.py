@@ -14,12 +14,9 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ReservationError
-from ..obs.trace import tracepoint
 from ..units import BITS_PER_LEVEL
 from .reservation import LockStats, Reservation
 
-_tp_insert = tracepoint("part.insert")
-_tp_remove = tracepoint("part.remove")
 
 #: Number of radix levels in the PaRT.
 PART_LEVELS = 4
@@ -157,10 +154,6 @@ class PageReservationTable:
             )
         node.entries[leaf_index] = reservation
         self.entry_count += 1
-        if _tp_insert.enabled:
-            _tp_insert.emit(
-                group=reservation.group, entries=self.entry_count
-            )
 
     def remove(self, group: int) -> Reservation:
         """Delete the reservation for ``group``; prunes empty nodes."""
@@ -179,8 +172,6 @@ class PageReservationTable:
         if entry is None:
             raise ReservationError(f"group {group} has no reservation")
         self.entry_count -= 1
-        if _tp_remove.enabled:
-            _tp_remove.emit(group=group, entries=self.entry_count)
         for parent, index in reversed(path):
             child = parent.children[index]
             if child.live_slots:

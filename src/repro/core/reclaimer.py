@@ -20,12 +20,8 @@ from typing import Dict, List
 
 from ..mem.buddy import BuddyAllocator
 from ..obs.profile import PROFILER
-from ..obs.trace import tracepoint
 from .allocator import release_reservation
 from .part import PageReservationTable
-
-_tp_wake = tracepoint("reclaim.wake")
-_tp_done = tracepoint("reclaim.done")
 
 
 @dataclass
@@ -84,8 +80,6 @@ class ReservationReclaimer:
             return report
         report.invoked = True
         self.invocations += 1
-        if _tp_wake.enabled:
-            _tp_wake.emit(free_fraction=self.buddy.free_fraction)
         candidates = list(parts_by_pid)
         self.rng.shuffle(candidates)
         for pid in candidates:
@@ -100,12 +94,6 @@ class ReservationReclaimer:
                 PROFILER.add(
                     ("reclaim", "pages"), 0, count=report.pages_released
                 )
-        if _tp_done.enabled:
-            _tp_done.emit(
-                pages_released=report.pages_released,
-                reservations_released=report.reservations_released,
-                processes_walked=len(report.processes_walked),
-            )
         return report
 
     def _reclaim_process(

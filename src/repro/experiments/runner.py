@@ -14,12 +14,6 @@ each experiment once per seed) over N spawn-safe worker processes; the
 parent merges results in submission order, so the report and every
 output file stay byte-identical to ``--jobs 1``. See :mod:`repro.parallel`.
 
-With ``--trace PATH`` the run writes a JSONL trace keyed to modelled
-cycles (inspect with ``python -m repro.obs summarize`` or convert for
-Perfetto with ``python -m repro.obs export``); ``--sample-interval N``
-additionally records the standard time series (fragmentation, free
-lists, PaRT occupancy, ...) every N modelled cycles.
-
 ``--metrics-out PATH`` writes the experiment's measurements as a metrics
 snapshot document (compare two with ``python -m repro.obs diff``);
 ``--profile`` turns on the cycle-attribution profiler so snapshots embed
@@ -27,12 +21,10 @@ attribution trees, and ``--flamegraph PATH`` dumps the run's folded
 stacks for flamegraph.pl / speedscope (implies ``--profile``). Metrics,
 profile and flamegraph require a single ``--experiment`` (not ``all``).
 
-All observability flags compose with ``--jobs N``: each worker installs
-an :class:`~repro.obs.remote.ObservabilityCapsule` around its cell and
-ships the captured trace slice, attribution tree and sampler series back
-to the parent, which merges them deterministically (submission-order,
-modelled-cycle interleave) -- the merged trace/flamegraph/metrics files
-are byte-identical at any job count. A run whose worker dies exits 1
+``--profile`` composes with ``--jobs N``: each worker profiles its own
+cell and sends the tree back, and the parent sums the trees path by
+path in submission order, so the flamegraph and metrics files are
+byte-identical at any job count. A run whose worker dies exits 1
 without writing any output file.
 """
 
@@ -47,10 +39,7 @@ from ..config import PlatformConfig
 from ..metrics.collect import snapshot_outcome
 from ..metrics.registry import REGISTRY, MetricsSnapshot, write_snapshots
 from ..metrics.report import Table
-from ..obs.profile import render_folded
-from ..obs.remote import CaptureSpec, capsule_snapshots, merge_capsules
-from ..obs.sinks import JsonlSink
-from ..obs.trace import TRACER
+from ..obs.profile import ProfileNode, merge_profile_trees, render_folded
 from ..parallel import ExperimentCell, ParallelExecutionError, run_cells
 from ..workloads.registry import table3_rows
 from .baselines import render_baselines, run_baselines
@@ -376,25 +365,6 @@ def main(argv=None) -> int:
         help="also write structured results as JSON to PATH",
     )
     parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="stream tracepoint events to a JSONL trace at PATH",
-    )
-    parser.add_argument(
-        "--trace-categories",
-        default="*",
-        help="comma-separated tracepoint categories to enable "
-        '(e.g. "buddy,fault,reservation"; default: all)',
-    )
-    parser.add_argument(
-        "--sample-interval",
-        type=int,
-        default=0,
-        metavar="CYCLES",
-        help="record the standard time series every CYCLES modelled "
-        "cycles (requires --trace; 0 disables)",
-    )
-    parser.add_argument(
         "--metrics-out",
         metavar="PATH",
         help="write the experiment's metrics snapshot(s) as JSON to PATH "
@@ -413,10 +383,6 @@ def main(argv=None) -> int:
         "render with flamegraph.pl or speedscope)",
     )
     args = parser.parse_args(argv)
-    if args.sample_interval < 0:
-        parser.error("--sample-interval must be non-negative")
-    if args.sample_interval and not args.trace:
-        parser.error("--sample-interval requires --trace")
     if args.flamegraph and not args.profile:
         # Historically this silently wrote an empty tree; profiling is
         # what --flamegraph is for, so switch it on.
@@ -439,29 +405,11 @@ def main(argv=None) -> int:
     for option, path in (
         ("--metrics-out", args.metrics_out),
         ("--json", args.json),
-        ("--trace", args.trace),
         ("--flamegraph", args.flamegraph),
     ):
         error = _output_path_error(path) if path else None
         if error is not None:
             print(f"error: {option}: {error}", file=sys.stderr)
-            return 2
-    categories = [
-        token.strip()
-        for token in args.trace_categories.split(",")
-        if token.strip()
-    ]
-    # The sampler registers its ``sample.*`` tracepoints when it
-    # attaches, so ``sample`` is not in the catalog before a run.
-    known = {"sample", "*"} | {
-        name.split(".", 1)[0] for name in TRACER.catalog()
-    }
-    for category in categories:
-        if category not in known:
-            print(
-                f"error: --trace-categories: unknown category {category!r}",
-                file=sys.stderr,
-            )
             return 2
     if args.seeds is not None:
         try:
@@ -486,21 +434,13 @@ def main(argv=None) -> int:
     ]
     payloads = {}
     snapshots: Dict[str, MetricsSnapshot] = {}
-    capture = None
-    if args.trace or args.profile:
-        capture = CaptureSpec(
-            trace=bool(args.trace),
-            categories=tuple(categories or ["*"]),
-            sample_interval_cycles=args.sample_interval,
-            profile=args.profile,
-        )
-    # (cell label, capsule document) in submission order, for the merge.
-    capsule_entries = []
+    # Each cell's profile tree, in submission order, for the merge.
+    trees = []
     try:
-        # Both --jobs 1 and --jobs N flow through the same cell/capsule
-        # merge code (results arrive in submission order either way), so
-        # the printed report and every output file are byte-identical.
-        for result in run_cells(cells, args.jobs, spec=capture):
+        # Both --jobs 1 and --jobs N flow through the same cell and merge
+        # code (results arrive in submission order either way), so the
+        # printed report and every output file are byte-identical.
+        for result in run_cells(cells, args.jobs, profile=args.profile):
             name = result.cell.experiment
             seed = result.cell.seed
             print(result.text)
@@ -515,37 +455,20 @@ def main(argv=None) -> int:
                 if multi_seed:
                     snapshot.label = f"{label}.seed{seed}"
                 snapshots[snapshot.label] = snapshot
-            capsule_entries.append((f"{name}.seed{seed}", result.capsule))
+            if result.profile is not None:
+                trees.append(ProfileNode.from_dict("root", result.profile))
     except ParallelExecutionError as exc:
         # A run that lost a cell writes no output file at all.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    merged = merge_capsules(capsule_entries) if capture is not None else None
-    if merged is not None and merged.profile is not None:
+    profile = merge_profile_trees(trees) if trees else None
+    if profile is not None:
         # Embed the merged attribution tree into the experiment's own
         # snapshots so --metrics-out files carry it (and obs diff's
         # profile ranking can load it from them).
         for label in sorted(snapshots):
             if snapshots[label].profile is None:
-                snapshots[label].profile = merged.profile
-    if args.trace:
-        sink = JsonlSink(args.trace)
-        for event in merged.events:
-            sink.write(event)
-        sink.close()
-        print(
-            f"wrote {sink.events_written} trace events to {args.trace} "
-            "(inspect: python -m repro.obs summarize)"
-        )
-        if merged.dropped_events:
-            print(
-                f"warning: --trace: {merged.dropped_events} events dropped "
-                f"(each cell keeps its last {capture.buffer_events} events)",
-                file=sys.stderr,
-            )
-        if merged.provenance:
-            for label, snapshot in sorted(capsule_snapshots(merged).items()):
-                snapshots[label] = snapshot
+                snapshots[label].profile = profile
     if args.metrics_out:
         if snapshots:
             write_snapshots(args.metrics_out, snapshots)
@@ -560,9 +483,8 @@ def main(argv=None) -> int:
                 f"skipped {args.metrics_out}"
             )
     if args.flamegraph:
-        profile = merged.profile if merged is not None else None
         with open(args.flamegraph, "w", encoding="utf-8") as handle:
-            folded = render_folded(profile) if profile is not None else ""
+            folded = render_folded(profile)
             handle.write(folded + ("\n" if folded else ""))
         print(
             f"wrote {args.flamegraph} (render with flamegraph.pl or "

@@ -24,23 +24,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import InvariantViolation, OutOfMemoryError, ReproError
-from ..obs.trace import tracepoint
 from .physical import FrameState, PhysicalMemory
 
 #: Largest supported order, as in Linux (2**10 frames = 4MB blocks).
 MAX_ORDER = 10
-
-#: Free-fraction threshold below which the allocator reports memory
-#: pressure via the ``buddy.watermark`` tracepoint (edge-triggered, like
-#: the kernel's low-watermark wakeup rather than a per-allocation check).
-LOW_WATERMARK_FRACTION = 0.125
-
-_tp_alloc = tracepoint("buddy.alloc")
-_tp_free = tracepoint("buddy.free")
-_tp_split = tracepoint("buddy.split")
-_tp_coalesce = tracepoint("buddy.coalesce")
-_tp_oom = tracepoint("buddy.oom")
-_tp_watermark = tracepoint("buddy.watermark")
 
 
 @dataclass
@@ -92,7 +79,6 @@ class BuddyAllocator:
         #: live allocation based at that frame, 0 for any other frame.
         self._allocated_order = bytearray(memory.num_frames)
         self._free_frames = 0
-        self._below_watermark = False
         self._seed_free_lists(reserved_base_frames)
         if reserved_base_frames:
             memory.set_range_state(0, reserved_base_frames, FrameState.KERNEL)
@@ -165,8 +151,6 @@ class BuddyAllocator:
             source += 1
             if source > MAX_ORDER:
                 self.stats.failed_allocations += 1
-                if _tp_oom.enabled:
-                    _tp_oom.emit(order=order, free_frames=self._free_frames)
                 raise OutOfMemoryError(
                     f"{self.memory.name}: no free block of order >= {order}"
                 )
@@ -177,8 +161,6 @@ class BuddyAllocator:
             buddy = base + (1 << source)
             free_lists[source][buddy] = None
             self.stats.splits += 1
-            if _tp_split.enabled:
-                _tp_split.emit(order=source, base=base, buddy=buddy)
         self._allocated_order[base] = order + 1
         self._free_frames -= 1 << order
         self.stats.record_alloc(order)
@@ -186,10 +168,6 @@ class BuddyAllocator:
         san = self.sanitizer
         if san is not None:
             san.on_alloc(base, 1 << order, owner)
-        if _tp_alloc.enabled:
-            _tp_alloc.emit(order=order, base=base, owner=owner)
-        if _tp_watermark.enabled:
-            self._check_watermark()
         return base
 
     def free(self, base: int) -> None:
@@ -206,8 +184,6 @@ class BuddyAllocator:
         order = self._take_allocation(base)
         self.memory.set_range_state(base, 1 << order, FrameState.FREE)
         self._free_frames += 1 << order
-        if _tp_free.enabled:
-            _tp_free.emit(order=order, base=base)
         free_lists = self._free
         blocks = free_lists[order]
         while order < MAX_ORDER:
@@ -220,12 +196,8 @@ class BuddyAllocator:
             order += 1
             blocks = free_lists[order]
             self.stats.coalesces += 1
-            if _tp_coalesce.enabled:
-                _tp_coalesce.emit(order=order, base=base)
         blocks[base] = None
         self.stats.frees += 1
-        if _tp_watermark.enabled:
-            self._check_watermark()
 
     def alloc_frame(
         self, owner: Optional[int] = None, state: FrameState = FrameState.USER
@@ -257,8 +229,6 @@ class BuddyAllocator:
                 half = base + (1 << current)
                 self._free[current][base if frame >= half else half] = None
                 self.stats.splits += 1
-                if _tp_split.enabled:
-                    _tp_split.emit(order=current, base=base, buddy=half)
                 if frame >= half:
                     base = half
             self._allocated_order[frame] = 1
@@ -268,10 +238,6 @@ class BuddyAllocator:
             san = self.sanitizer
             if san is not None:
                 san.on_alloc(frame, 1, owner, site="buddy.alloc_frame_at")
-            if _tp_alloc.enabled:
-                _tp_alloc.emit(order=0, base=frame, owner=owner)
-            if _tp_watermark.enabled:
-                self._check_watermark()
             return True
         return False
 
@@ -305,16 +271,6 @@ class BuddyAllocator:
     def _check_order(order: int) -> None:
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
-
-    def _check_watermark(self) -> None:
-        """Emit edge-triggered ``buddy.watermark`` pressure transitions."""
-        below = self.free_fraction < LOW_WATERMARK_FRACTION
-        if below != self._below_watermark:
-            self._below_watermark = below
-            _tp_watermark.emit(
-                state="low" if below else "ok",
-                free_frames=self._free_frames,
-            )
 
     # ------------------------------------------------------------------ #
     # Integrity checking (used by property-based tests)

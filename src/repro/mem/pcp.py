@@ -20,12 +20,8 @@ from typing import Dict, List, Optional
 
 from ..errors import OutOfMemoryError
 from ..obs.profile import PROFILER
-from ..obs.trace import tracepoint
 from .buddy import BuddyAllocator
 from .physical import FrameState
-
-_tp_refill = tracepoint("pcp.refill")
-_tp_drain = tracepoint("pcp.drain")
 
 
 @dataclass
@@ -118,8 +114,6 @@ class PerCpuPageCache:
         self.stats.refills += 1
         if PROFILER.enabled:
             PROFILER.add(("alloc", "pcp", "refill"), 0, count=len(entries))
-        if _tp_refill.enabled:
-            _tp_refill.emit(cpu=cpu, pages=len(entries))
 
     def free_frame(self, cpu: int, frame: int) -> None:
         """Return one frame to ``cpu``'s cache, draining past the
@@ -148,8 +142,6 @@ class PerCpuPageCache:
         self.stats.drains += 1
         if PROFILER.enabled:
             PROFILER.add(("alloc", "pcp", "drain"), 0, count=drained)
-        if _tp_drain.enabled:
-            _tp_drain.emit(cpu=cpu, pages=drained)
 
     def drain_all(self) -> None:
         """Return every cached page to the buddy (offline/teardown)."""

@@ -5,9 +5,8 @@ or guest). It does not store data -- the simulator only cares about *which*
 frames back *which* pages -- but it does track, per frame, whether the frame
 is free and what it is used for, in a fixed array indexed by frame number
 (Linux's ``mem_map``): one byte per frame, however many are allocated. The
-owner of a frame is not recorded here; the sanitizer and the ``buddy.alloc``
-tracepoint carry it. The meminfo counts and the invariant checks read this
-array.
+owner of a frame is not recorded here; the sanitizer carries it. The
+meminfo counts and the invariant checks read this array.
 """
 
 from __future__ import annotations

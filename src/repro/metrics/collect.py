@@ -190,7 +190,7 @@ def collect_cache_streams(
 
     The standard streams (data/gpt/hpt) are pre-registered with literal
     names; any other stream tag registers its metrics here (validated at
-    registration, like dynamically-named tracepoints).
+    registration).
     """
     from ..cache.hierarchy import AccessOutcome
 

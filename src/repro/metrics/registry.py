@@ -7,7 +7,7 @@ so every consumer -- experiments, the sampler, the profiler, CI -- spoke
 a different dialect. The registry gives each measurement a stable dotted
 lower-case name (``perf.walk_cycles``, ``kernel.faults``,
 ``cache.hpt.memory``), a kind (counter / gauge / histogram) and help
-text, mirroring how the tracepoint registry names events.
+text.
 
 * :class:`MetricsRegistry` / :data:`REGISTRY` -- the process-wide schema:
   declare metrics once, list them with :meth:`MetricsRegistry.catalog`.
@@ -19,8 +19,8 @@ text, mirroring how the tracepoint registry names events.
   (:func:`write_snapshots` / :func:`load_snapshot`, which accepts
   ``path#label`` to pick one member).
 
-Metric names are validated here at registration, exactly like
-tracepoints, so a malformed literal name fails on import.
+Metric names are validated here at registration, so a malformed
+literal name fails on import.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..obs.histogram import Log2Histogram
 from ..obs.profile import ProfileNode
 
 #: Metric names are dotted lower-case paths (``family.metric`` with one
-#: or more dots), the same shape as tracepoint names.
+#: or more dots).
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 
 #: Schema version stamped into snapshot JSON (bump on incompatible change).

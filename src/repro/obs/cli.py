@@ -1,30 +1,24 @@
-"""The ``python -m repro.obs`` command line: inspect, convert, compare.
+"""The ``python -m repro.obs`` command line: list metrics, compare runs.
 
 ::
 
-    python -m repro.obs summarize out.trace.jsonl
-    python -m repro.obs export out.trace.jsonl -o out.trace.json
-    python -m repro.obs catalog
     python -m repro.obs metrics
     python -m repro.obs diff baseline.json current.json --threshold 25
     python -m repro.obs diff t1.json#standalone t1.json#colocated
 
-``export`` writes a Chrome ``trace_event`` JSON loadable in Perfetto
-(https://ui.perfetto.dev) or ``chrome://tracing``. ``catalog`` imports
-the instrumented layers and lists every registered tracepoint;
-``metrics`` lists the metric schema the same way. ``diff`` compares two
-metrics-snapshot operands (``--metrics-out`` / benchmark files, append
-``#label`` to pick one snapshot from a multi-snapshot file) and exits
-non-zero when ``--threshold`` is given and any metric moved by more
-than that percentage -- the CI regression gate (``--strict-new``
-additionally gates on metrics that appeared or vanished). ``diff
---format github`` additionally prints one ``::error`` workflow-command
-annotation per threshold breach, so the gate marks up PRs instead of
-only failing.
+``metrics`` imports the collectors and lists the metric schema they
+register. ``diff`` compares two metrics-snapshot operands
+(``--metrics-out`` / benchmark files, append ``#label`` to pick one
+snapshot from a multi-snapshot file) and exits non-zero when
+``--threshold`` is given and any metric moved by more than that
+percentage -- the CI regression gate (``--strict-new`` additionally
+gates on metrics that appeared or vanished). ``diff --format github``
+additionally prints one ``::error`` workflow-command annotation per
+threshold breach, so the gate marks up PRs instead of only failing.
 
 Exit status: 0 on success, 1 when a ``--threshold`` gate fails, 2 on a
-usage error or bad input (missing file, malformed snapshot or trace),
-reported as one ``error:`` line on stderr.
+usage error or bad input (missing file, malformed snapshot), reported as
+one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -36,60 +30,6 @@ from typing import List, Optional
 
 from ..errors import ReproError
 from .diff import diff_snapshots, render_diff
-from .export import render_summary, summarize, to_chrome
-from .sinks import iter_trace
-from .trace import TRACER
-
-#: Modules imported by ``catalog`` so their emit sites register.
-INSTRUMENTED_MODULES = (
-    "repro.cache.hierarchy",
-    "repro.cache.pwc",
-    "repro.core.allocator",
-    "repro.core.part",
-    "repro.core.reclaimer",
-    "repro.mem.buddy",
-    "repro.mem.pcp",
-    "repro.os.kernel",
-    "repro.sim.engine",
-    "repro.tlb.tlb",
-    "repro.virt.nested",
-)
-
-
-def _cmd_summarize(args: argparse.Namespace) -> int:
-    summary = summarize(iter_trace(args.trace))
-    if args.json:
-        json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        print(render_summary(summary))
-    return 0
-
-
-def _cmd_export(args: argparse.Namespace) -> int:
-    document = to_chrome(iter_trace(args.trace))
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=args.indent)
-        handle.write("\n")
-    print(
-        f"wrote {args.output} ({len(document['traceEvents'])} trace events); "
-        "load it in https://ui.perfetto.dev or chrome://tracing"
-    )
-    return 0
-
-
-def _cmd_catalog(args: argparse.Namespace) -> int:
-    import importlib
-
-    for module in INSTRUMENTED_MODULES:
-        importlib.import_module(module)
-    catalog = TRACER.catalog()
-    width = max((len(name) for name in catalog), default=0)
-    for name, enabled in catalog.items():
-        state = "on" if enabled else "off"
-        print(f"{name.ljust(width)}  [{state}]")
-    print(f"{len(catalog)} tracepoints registered")
-    return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -182,31 +122,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Summarize and convert repro trace files.",
+        description="List the metric schema and compare metrics snapshots.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sum = sub.add_parser("summarize", help="digest a JSONL trace")
-    p_sum.add_argument("trace", help="JSONL trace file (runner --trace output)")
-    p_sum.add_argument(
-        "--json", action="store_true", help="emit the digest as JSON"
-    )
-    p_sum.set_defaults(func=_cmd_summarize)
-
-    p_exp = sub.add_parser(
-        "export", help="convert a JSONL trace to Chrome/Perfetto JSON"
-    )
-    p_exp.add_argument("trace", help="JSONL trace file (runner --trace output)")
-    p_exp.add_argument(
-        "-o", "--output", required=True, help="Chrome trace JSON output path"
-    )
-    p_exp.add_argument(
-        "--indent", type=int, default=None, help="pretty-print indentation"
-    )
-    p_exp.set_defaults(func=_cmd_export)
-
-    p_cat = sub.add_parser("catalog", help="list registered tracepoints")
-    p_cat.set_defaults(func=_cmd_catalog)
 
     p_met = sub.add_parser("metrics", help="list the metric schema")
     p_met.set_defaults(func=_cmd_metrics)

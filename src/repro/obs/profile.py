@@ -11,10 +11,10 @@ a tree::
 
 The tree's leaves are the paper's 24-step nested-walk matrix (guest level
 x host level x serving cache level) plus fault-kind, data-access and
-allocator buckets. Like tracepoints, the disabled fast path is a single
-attribute read (``PROFILER.enabled``), enforced by the same <= 2%
-overhead gate in ``benchmarks/test_obs_overhead.py``; the profiler only
-*observes*, so enabling it never changes simulated state or counters.
+allocator buckets. The disabled fast path is a single attribute read
+(``PROFILER.enabled``), held to <= 2% of a run by
+``benchmarks/test_obs_overhead.py``; the profiler only *observes*, so
+enabling it never changes simulated state or counters.
 
 Export formats:
 
@@ -23,6 +23,9 @@ Export formats:
 * :meth:`Profiler.to_folded` -- Brendan-Gregg folded-stack lines
   (``walk;hpt;gl2;hl3;memory 1234``) that flamegraph.pl or speedscope
   render directly.
+
+:func:`merge_profile_trees` sums the trees that ``--jobs N`` workers
+send back into one, path by path.
 """
 
 from __future__ import annotations
@@ -224,6 +227,26 @@ def render_folded(root: ProfileNode) -> str:
         if node.cycles
     ]
     return "\n".join(lines)
+
+
+def merge_profile_trees(trees: Sequence[ProfileNode]) -> ProfileNode:
+    """Path-wise merge: self cycles/counts summed at every path.
+
+    The merged tree behaves exactly like a single-process one --
+    ``total_cycles`` aggregates subtrees, ``rank_delta`` and the folded
+    flamegraph export consume it unchanged.
+    """
+    merged = ProfileNode("root")
+    for tree in trees:
+        _accumulate_profile(merged, tree)
+    return merged
+
+
+def _accumulate_profile(into: ProfileNode, tree: ProfileNode) -> None:
+    into.cycles += tree.cycles
+    into.count += tree.count
+    for name, child in sorted(tree.children.items()):
+        _accumulate_profile(into.child(name), child)
 
 
 def rank_delta(

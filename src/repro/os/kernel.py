@@ -31,7 +31,6 @@ from ..mem.pcp import PerCpuPageCache
 from ..mem.physical import FrameState, PhysicalMemory
 from ..obs.histogram import Log2Histogram
 from ..obs.profile import PROFILER
-from ..obs.trace import tracepoint
 from ..pagetable.pte import COW, HUGE, PRESENT, PteFlags, pte_frame
 from ..sanitizer import FrameSanitizer, sanitizer_enabled
 from ..units import RESERVED_BASE_FRAMES
@@ -39,8 +38,6 @@ from .fault import FaultKind, FaultOutcome, default_alloc
 from .process import Process
 from .vma import Protection, Vma
 
-_tp_fault_enter = tracepoint("fault.enter")
-_tp_fault_exit = tracepoint("fault.exit")
 
 #: The :class:`KernelStats` counter a 4KB fault of each kind bumps when it
 #: takes its frame, and takes back if the page then cannot be mapped.
@@ -255,19 +252,9 @@ class GuestKernel:
         every fault and raise :class:`~repro.errors.InvariantViolation`
         on drift.
         """
-        if _tp_fault_enter.enabled:
-            _tp_fault_enter.emit(pid=process.pid, vpn=vpn, write=write)
         outcome = self._handle_fault(process, vpn, write)
         if PROFILER.enabled:
             PROFILER.add(("fault", outcome.kind.value), outcome.cycles)
-        if _tp_fault_exit.enabled:
-            _tp_fault_exit.emit(
-                pid=process.pid,
-                vpn=vpn,
-                kind=outcome.kind.name.lower(),
-                frame=outcome.frame,
-                cycles=outcome.cycles,
-            )
         if self._check_invariants:
             check_fault_invariants(self, process, vpn)
         return outcome

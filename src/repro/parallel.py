@@ -13,19 +13,17 @@ does beyond pool management is keeping parallel output *deterministic*:
 * A cell's results reach the parent one way: as :func:`run_cell`'s
   return value, a tuple of JSON-safe documents
   (:meth:`~repro.metrics.registry.MetricsSnapshot.to_dict` and the
-  observability capsule of :mod:`repro.obs.remote`), never pickled
-  model objects, so a worker of one build cannot smuggle unstable state
-  into the parent.
+  cell's profile tree), never pickled model objects, so a worker of one
+  build cannot smuggle unstable state into the parent.
 * The parent consumes results strictly in submission order, regardless
   of completion order. Files written from a parallel run are therefore
   byte-identical to a ``--jobs 1`` run.
 
-``spec`` (a :class:`~repro.obs.remote.CaptureSpec`) ships the parent's
-``--trace``/``--profile``/``--sample-interval`` request to every worker;
-:func:`run_cell` installs an
-:class:`~repro.obs.remote.ObservabilityCapsule` around the experiment
-and returns the captured telemetry as the fifth element of
-:data:`CellOutput`.
+``profile`` ships the parent's ``--profile`` request to every worker:
+:func:`run_cell` then runs its cell under a fresh cycle-attribution
+profiler and returns the tree as the fifth element of
+:data:`CellOutput`, for the parent to merge with
+:func:`~repro.obs.profile.merge_profile_trees`.
 
 A worker that dies outright (hard exit, OOM kill) surfaces as
 :class:`ParallelExecutionError` naming the cell that was in flight --
@@ -48,8 +46,8 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 from .errors import ReproError
 
 #: What a worker returns: (rendered text, JSON payload, snapshot
-#: documents keyed by label, elapsed seconds, observability capsule
-#: document or None).
+#: documents keyed by label, elapsed seconds, profile tree document or
+#: None).
 CellOutput = Tuple[str, dict, Dict[str, dict], float, Optional[dict]]
 
 
@@ -79,59 +77,58 @@ class CellResult:
     #: label -> snapshot document (see ``MetricsSnapshot.to_dict``).
     snapshot_docs: Dict[str, dict]
     elapsed_seconds: float
-    #: Observability capsule document captured by the worker (see
-    #: :class:`repro.obs.remote.ObservabilityCapsule`), or None when the
-    #: run had no capture spec.
-    capsule: Optional[dict] = None
+    #: The cell's profile tree (``ProfileNode.to_dict``), or None when
+    #: the run was not profiled.
+    profile: Optional[dict] = None
 
 
-def run_cell(
-    experiment: str,
-    seed: int,
-    spec: Optional[object] = None,
-) -> CellOutput:
+def run_cell(experiment: str, seed: int, profile: bool = False) -> CellOutput:
     """Execute one cell and return JSON-safe results.
 
     Top-level so it pickles under the spawn start method; the imports
     happen inside so a fresh worker builds the full stack itself (and so
     importing this module never drags in the whole experiment suite).
 
-    ``spec`` is the parent's :class:`~repro.obs.remote.CaptureSpec`; an
-    :class:`~repro.obs.remote.ObservabilityCapsule` is installed around
-    the experiment and its document returned as the fifth output
-    element.
+    With ``profile`` the cell runs under a freshly reset
+    :data:`~repro.obs.profile.PROFILER`, whose tree is returned as the
+    fifth output element; the profiler is reset and off again afterwards,
+    also when the cell raises, so an in-process cell leaves no switch
+    behind for the next one.
     """
     from .config import PlatformConfig
     from .experiments.runner import EXPERIMENTS
-    from .obs.remote import ObservabilityCapsule
+    from .obs.profile import PROFILER
 
-    capsule = ObservabilityCapsule(spec)
-    capsule.install()
+    tree = None
+    if profile:
+        PROFILER.reset()
+        PROFILER.enable()
     started = time.perf_counter()
     try:
         text, payload, snapshots = EXPERIMENTS[experiment](
             PlatformConfig(), seed
         )
-    except BaseException:
-        capsule.abort()
-        raise
-    elapsed = time.perf_counter() - started
-    capsule_doc = capsule.finalize()
+        elapsed = time.perf_counter() - started
+        if profile:
+            tree = PROFILER.to_dict()
+    finally:
+        if profile:
+            PROFILER.reset()
     docs = {label: snapshots[label].to_dict() for label in snapshots}
-    return text, payload, docs, elapsed, capsule_doc
+    return text, payload, docs, elapsed, tree
 
 
 def run_cells(
     cells: Sequence[ExperimentCell],
     jobs: int,
     worker: Callable[..., CellOutput] = run_cell,
-    spec: Optional[object] = None,
+    profile: bool = False,
 ) -> Iterator[CellResult]:
     """Run ``cells``, yielding results in submission order.
 
     ``jobs == 1`` executes in-process; ``jobs > 1`` fans out over
     ``jobs`` spawned workers. Either way every cell runs as
-    ``worker(experiment, seed, spec)`` and results are yielded in
+    ``worker(experiment, seed, profile)`` and results are yielded in
     submission order regardless of completion order, so consumers that
     merge or print them are deterministic by construction.
 
@@ -145,7 +142,7 @@ def run_cells(
         raise ReproError("jobs must be >= 1")
     if jobs == 1:
         for cell in cells:
-            yield CellResult(cell, *worker(cell.experiment, cell.seed, spec))
+            yield CellResult(cell, *worker(cell.experiment, cell.seed, profile))
         return
     pool = ProcessPoolExecutor(
         max_workers=jobs, mp_context=get_context("spawn")
@@ -163,7 +160,9 @@ def run_cells(
             if len(running) < jobs and not failed:
                 cell = next(queued, None)
                 if cell is not None:
-                    future = pool.submit(worker, cell.experiment, cell.seed, spec)
+                    future = pool.submit(
+                        worker, cell.experiment, cell.seed, profile
+                    )
                     window.append((cell, future))
                     continue
             if not window:

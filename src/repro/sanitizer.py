@@ -28,8 +28,8 @@ mappings.
 
 Enablement mirrors :mod:`repro.invariants`: export ``REPRO_SANITIZE=1``
 before the kernel is built. When disabled the cost at every hook site is a
-single attribute read (``sanitizer is None``), held to the same <= 2%
-budget as tracepoints by ``benchmarks/test_sanitizer_overhead.py``.
+single attribute read (``sanitizer is None``), held to a <= 2% budget
+by ``benchmarks/test_sanitizer_overhead.py``.
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional
 
 from .errors import SanitizerViolation
-from .obs.trace import tracepoint
 
 ENV_FLAG = "REPRO_SANITIZE"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-_tp_violation = tracepoint("sanitizer.violation")
 
 
 def sanitizer_enabled() -> bool:
@@ -82,8 +79,7 @@ class FrameSanitizer:
     The kernel creates one instance when sanitizing is enabled and
     attaches it to its buddy allocator and each process page table; the
     instrumented components call the ``on_*`` hooks below. Hooks raise
-    :class:`~repro.errors.SanitizerViolation` (after emitting a
-    ``sanitizer.violation`` tracepoint) on any illegal transition.
+    :class:`~repro.errors.SanitizerViolation` on any illegal transition.
     """
 
     def __init__(self, name: str = "guest") -> None:
@@ -109,8 +105,6 @@ class FrameSanitizer:
 
     def _violation(self, kind: str, frame: int, detail: str) -> None:
         self.violations += 1
-        if _tp_violation.enabled:
-            _tp_violation.emit(kind=kind, frame=frame)
         raise SanitizerViolation(
             f"{self.name}: {kind}: frame {frame}: {detail}"
         )

@@ -25,8 +25,7 @@ from ..metrics.fragmentation import (
     host_pt_fragmentation,
 )
 from ..obs.profile import PROFILER
-from ..obs.sampler import PeriodicSampler, standard_sampler
-from ..obs.trace import TRACER, tracepoint
+from ..obs.sampler import PeriodicSampler
 from ..os.kernel import GuestKernel
 from ..os.process import Process
 from ..pagetable.pte import COW
@@ -46,8 +45,6 @@ from ..workloads.base import (
 from .machine import CoreContext, Machine
 from .results import RunResult, SimulationResult
 from .scheduler import RoundRobinScheduler
-
-_tp_sched_turn = tracepoint("sched.turn")
 
 
 class WorkloadRun:
@@ -213,8 +210,6 @@ class WorkloadRun:
             PROFILER.add(
                 ("access", "issue"), core.config.base_cycles_per_access
             )
-        if TRACER.active:
-            TRACER.advance(cycles)
         if self.measuring:
             self.counters.accesses += 1
             self.counters.cycles += cycles
@@ -298,10 +293,6 @@ class Simulation:
         self.kernel.add_unmap_observer(
             partial(_shoot_down, self._cores_by_pid)
         )
-        if TRACER.sample_interval_cycles:
-            self.add_sampler(
-                standard_sampler(self, TRACER.sample_interval_cycles)
-            )
 
     # ------------------------------------------------------------------ #
     # Setup
@@ -347,19 +338,15 @@ class Simulation:
         watermark is tested here, before the kernel gathers the PaRTs a
         pass would walk.
 
-        Turn boundaries also drive the observability plumbing: the tracer's
-        turn counter, the ``sched.turn`` tracepoint, and any registered
-        periodic samplers (which see post-reclaim state, so turn-cadence
-        series match the legacy per-experiment sampling loops exactly).
+        Turn boundaries also drive any registered periodic samplers,
+        which see post-reclaim state, so turn-cadence series match the
+        legacy per-experiment sampling loops exactly.
         """
         executed = self.scheduler.turn()
         reclaimer = self.kernel.reclaimer
         if reclaimer is not None and reclaimer.under_pressure:
             self.kernel.run_reclaim()
         self.turns += 1
-        TRACER.turn = self.turns
-        if _tp_sched_turn.enabled:
-            _tp_sched_turn.emit(turn=self.turns, ops=executed)
         if self._samplers:
             for sampler in self._samplers:
                 sampler.on_turn()

@@ -11,9 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..config import TlbConfig
-from ..obs.trace import tracepoint
-
-_tp_miss = tracepoint("tlb.miss")
 
 
 class Tlb:
@@ -104,8 +101,6 @@ class TlbHierarchy:
         frame = self.l2.lookup(vpn)
         if frame is not None:
             self.l1.insert(vpn, frame)
-        elif _tp_miss.enabled:
-            _tp_miss.emit(vpn=vpn)
         return frame
 
     def insert(self, vpn: int, frame: int) -> None:

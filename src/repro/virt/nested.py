@@ -31,7 +31,6 @@ from typing import Dict, Optional
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.pwc import PageWalkCache
 from ..obs.profile import PROFILER
-from ..obs.trace import tracepoint
 from ..pagetable.pte import PRESENT
 from ..pagetable.radix import PageTable
 from ..units import BITS_PER_LEVEL, PAGE_SHIFT, PT_INDEX_MASK, PTE_SIZE
@@ -39,10 +38,6 @@ from .hypervisor import HostKernel, VmHandle
 
 #: Capacity of the nested TLB (gfn -> hfn for guest-PT node pages).
 NESTED_TLB_ENTRIES = 64
-
-_tp_walk_enter = tracepoint("walk.enter")
-_tp_walk_step = tracepoint("walk.step")
-_tp_walk_exit = tracepoint("walk.exit")
 
 
 @dataclass
@@ -130,11 +125,6 @@ class NestedWalker:
         start_level = guest_pt.levels
         if guest_pwc is not None:
             start_level = guest_pwc.lookup(gvpn) or start_level
-        if _tp_walk_enter.enabled:
-            depth = len(guest_pt.walk_path(gvpn))
-            _tp_walk_enter.emit(
-                vpn=gvpn, start_depth=min(guest_pt.levels - start_level, depth)
-            )
         vm = self.vm
         host_pt = vm.host_pt
         host_pwc = self.host_pwc
@@ -232,13 +222,6 @@ class NestedWalker:
                     PROFILER.add(step, latency)
                 cycles += latency
                 guest_accesses += 1
-                if _tp_walk_step.enabled:
-                    _tp_walk_step.emit(
-                        vpn=gvpn,
-                        level=level,
-                        cycles=latency + walk_cycles,
-                        host_accesses=walk_accesses,
-                    )
                 if guest_pwc is not None:
                     guest_pwc.fill(gvpn, level)
             # Descend the guest PT; a hole is a guest page fault.
@@ -263,15 +246,6 @@ class NestedWalker:
         self.walks += 1
         self.total_cycles += cycles
         self.total_host_cycles += host_cycles
-        if _tp_walk_exit.enabled:
-            _tp_walk_exit.emit(
-                vpn=gvpn,
-                cycles=cycles,
-                host_cycles=host_cycles,
-                guest_accesses=guest_accesses,
-                host_accesses=host_accesses,
-                faulted=host_frame is None,
-            )
         return NestedWalkResult(
             host_frame=host_frame,
             guest_frame=guest_frame,

@@ -157,6 +157,22 @@ class TestForkWithPTEMagnet:
         assert outcome.frame == first.frame + 1
         assert kernel.ptemagnet.stats.parent_reservation_hits == 1
 
+    def test_taken_parent_slot_is_not_a_parent_hit(self):
+        """A child fault that finds the parent's entry with its slot
+        taken creates its own reservation; the parent served nothing."""
+        kernel = make_kernel(ptemagnet=True)
+        parent = kernel.create_process("parent")
+        vma = kernel.mmap(parent, RESERVATION_PAGES * 2)
+        base = ((vma.start_vpn // RESERVATION_PAGES) + 1) * RESERVATION_PAGES
+        kernel.handle_fault(parent, base)  # reserves the group
+        child = fork(kernel, parent)
+        kernel._free_page(child, base)  # the swap daemon's path
+        outcome = kernel.handle_fault(child, base)
+        assert outcome.kind is FaultKind.RESERVATION_NEW
+        stats = kernel.ptemagnet.stats
+        assert stats.reservation_hits == 0
+        assert stats.parent_reservation_hits == 0
+
     def test_child_new_memory_reserves_in_own_part(self):
         kernel = make_kernel(ptemagnet=True)
         parent, _vma = parent_with_pages(kernel)

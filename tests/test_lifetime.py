@@ -22,9 +22,7 @@ from repro.config import GuestConfig, HostConfig, PlatformConfig
 from repro.experiments.common import compare_kernels, run_colocated
 from repro.experiments.sec62 import run_adversarial_sec62
 from repro.experiments.sec64 import run_sec64
-from repro.obs.profile import PROFILER
-from repro.obs.remote import CaptureSpec, ObservabilityCapsule
-from repro.obs.trace import TRACER
+from repro.obs.profile import PROFILER, profiling
 from repro.sim.engine import Simulation
 from repro.units import MB
 
@@ -42,16 +40,12 @@ def _baseline_mode(mode):
     return run_colocated(platform, "gcc", [("pyaes", 1)], prechurn_turns=50)
 
 
-def _captured(spec):
-    """A colocated run inside the capsule ``run_cell`` installs for ``spec``."""
-    capsule = ObservabilityCapsule(spec)
-    capsule.install()
-    try:
+def _profiled():
+    """A colocated run under the profiler, as ``run_cell`` runs a cell
+    with ``profile=True``."""
+    with profiling() as profiler:
         outcome = run_colocated(PLATFORM, "gcc", prechurn_turns=0)
-    except BaseException:
-        capsule.abort()
-        raise
-    return outcome, capsule.finalize()
+    return outcome, profiler.to_dict()
 
 
 #: Every way the experiments build a Simulation.
@@ -66,20 +60,14 @@ SCENARIOS = {
     # _run_sampled: a PeriodicSampler whose probes close over the run.
     "sec62-sampled": lambda: run_adversarial_sec62(PLATFORM),
     "sec64": lambda: run_sec64(PLATFORM, npages=3000),
-    "profiled": lambda: _captured(CaptureSpec(profile=True)),
-    # --sample-interval: the engine attaches standard_sampler itself.
-    "standard-sampler": lambda: _captured(
-        CaptureSpec(trace=True, sample_interval_cycles=50_000)
-    ),
+    "profiled": _profiled,
 }
 
 
 @pytest.fixture(autouse=True)
-def _observability_off():
-    TRACER.reset()
+def _profiler_off():
     PROFILER.reset()
     yield
-    TRACER.reset()
     PROFILER.reset()
 
 

@@ -11,6 +11,7 @@ import json
 import os
 import re
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -25,31 +26,31 @@ from repro.parallel import (
 )
 
 
-def _crash_worker(experiment, seed, spec=None):
+def _crash_worker(experiment, seed, profile=False):
     """A worker that dies without returning (picklable: module level)."""
     os._exit(13)
 
 
-def _slow_first_worker(experiment, seed, spec=None):
+def _slow_first_worker(experiment, seed, profile=False):
     """Finishes out of submission order: cell with seed 0 is slowest."""
     time.sleep(0.3 if seed == 0 else 0.0)
     return f"text for seed {seed}", {"seed": seed}, {}, 0.0, None
 
 
-def _failing_first_worker(experiment, seed, spec=None):
+def _failing_first_worker(marker_dir, experiment, seed, profile=False):
     """Cell 0 raises at once; every other cell sleeps 1 s, then leaves a
-    marker file in the directory ``spec`` names."""
+    marker file in ``marker_dir``."""
     if seed == 0:
         raise ValueError("cell 0 failed")
     time.sleep(1.0)
-    Path(spec, f"cell{seed}").touch()
+    Path(marker_dir, f"cell{seed}").touch()
     return f"text for seed {seed}", {}, {}, 0.0, None
 
 
-def _capsule_echo_worker(experiment, seed, spec=None):
-    """Echoes the capture spec back as its 'capsule'."""
-    doc = {"seed": seed, "spec": spec.to_dict() if spec else None}
-    return f"text {seed}", {}, {}, 0.0, doc
+def _profile_echo_worker(experiment, seed, profile=False):
+    """Echoes the profile flag back inside its 'profile tree'."""
+    tree = {"cycles": seed, "count": int(profile)} if profile else None
+    return f"text {seed}", {}, {}, 0.0, tree
 
 
 class TestRunCells:
@@ -63,7 +64,7 @@ class TestRunCells:
     def test_serial_runs_in_process(self):
         calls = []
 
-        def worker(experiment, seed, spec=None):
+        def worker(experiment, seed, profile=False):
             calls.append((experiment, seed, os.getpid()))
             return "text", {}, {}, 0.0, None
 
@@ -91,45 +92,39 @@ class TestRunCells:
         # failure arrives; after it, no further cell is submitted.
         jobs = 2
         cells = [ExperimentCell("x", seed) for seed in range(8)]
+        worker = partial(_failing_first_worker, str(tmp_path))
         with pytest.raises(ValueError, match="cell 0 failed"):
-            list(
-                run_cells(
-                    cells, jobs, worker=_failing_first_worker, spec=str(tmp_path)
-                )
-            )
+            list(run_cells(cells, jobs, worker=worker))
         # Shutdown waits for running cells, so any cell that started has
         # left its marker by now.
         for seed in range(jobs, len(cells)):
             assert not (tmp_path / f"cell{seed}").exists()
 
     def test_spec_and_capsule_round_trip_parallel(self):
-        from repro.obs.remote import CaptureSpec
-
-        spec = CaptureSpec(trace=True, sample_interval_cycles=123)
+        """The profile flag reaches every worker, and each cell's tree
+        comes back on its own result."""
         cells = [ExperimentCell("x", 0), ExperimentCell("x", 1)]
         results = list(
-            run_cells(cells, 2, worker=_capsule_echo_worker, spec=spec)
+            run_cells(cells, 2, worker=_profile_echo_worker, profile=True)
         )
-        assert [r.capsule["seed"] for r in results] == [0, 1]
-        assert all(
-            r.capsule["spec"] == spec.to_dict() for r in results
-        )
+        assert [r.profile for r in results] == [
+            {"cycles": 0, "count": 1},
+            {"cycles": 1, "count": 1},
+        ]
+        unprofiled = run_cells(cells, 2, worker=_profile_echo_worker)
+        assert [r.profile for r in unprofiled] == [None, None]
 
 
 def _module_switches():
     """Every process-wide switch a cell could leave changed behind it."""
     from repro import invariants, sanitizer
     from repro.obs.profile import PROFILER
-    from repro.obs.trace import TRACER
 
     return {
         sanitizer.ENV_FLAG: os.environ.get(sanitizer.ENV_FLAG),
         invariants.ENV_FLAG: os.environ.get(invariants.ENV_FLAG),
         "PROFILER.enabled": PROFILER.enabled,
-        "TRACER.active": TRACER.active,
-        "TRACER sinks": list(TRACER._sinks),
-        "TRACER categories": TRACER.enabled_categories(),
-        "TRACER.sample_interval_cycles": TRACER.sample_interval_cycles,
+        "PROFILER tree": PROFILER.to_dict(),
     }
 
 
@@ -138,24 +133,15 @@ class TestRunCellInProcess:
         """``--jobs 1`` runs every cell in the parent process, so a switch
         one cell flips would change every cell run after it."""
         from repro.obs.profile import PROFILER
-        from repro.obs.remote import CaptureSpec
-        from repro.obs.trace import TRACER
         from repro.parallel import run_cell
 
-        # Start with observability off, whatever earlier in-process runs
-        # left, so any switch a cell flips shows here.
-        TRACER.reset()
+        # Start with the profiler off and empty, whatever earlier
+        # in-process runs left, so any switch a cell flips shows here.
         PROFILER.reset()
         before = _module_switches()
-        spec = CaptureSpec(
-            trace=True,
-            categories=("sample",),
-            sample_interval_cycles=1_000_000,
-            profile=True,
-        )
-        _, _, docs, _, capsule = run_cell("table1", 0, spec)
-        # The cell simulated, sampled and profiled under its capsule.
-        assert docs and capsule["series"] and capsule["profile"]
+        _, _, docs, _, tree = run_cell("table1", 0, profile=True)
+        # The cell simulated and sent back its profile tree.
+        assert docs and "walk" in tree["children"]
         assert run_cell("table2", 0)[4] is None
         assert _module_switches() == before
 
@@ -171,10 +157,10 @@ class TestRunnerJobs:
             main(["--experiment", "table2", "--jobs", "0"])
 
     def test_jobs_composes_with_observability_flags(self, tmp_path):
-        """--jobs N now accepts the observability flags (distributed
-        capture): validation must not reject them. table2 is snapshotless
-        and fast, so this exercises the full parallel capture path."""
-        trace = tmp_path / "t.jsonl"
+        """--jobs N accepts --profile: validation must not reject it.
+        table2 is snapshotless and fast, so this exercises the parallel
+        profile path end to end."""
+        folded = tmp_path / "t.folded"
         assert (
             main(
                 [
@@ -182,13 +168,14 @@ class TestRunnerJobs:
                     "table2",
                     "--jobs",
                     "2",
-                    "--trace",
-                    str(trace),
+                    "--profile",
+                    "--flamegraph",
+                    str(folded),
                 ]
             )
             == 0
         )
-        assert trace.exists()
+        assert folded.exists()
 
     def test_seeds_validation(self):
         with pytest.raises(SystemExit):

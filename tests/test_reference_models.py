@@ -20,7 +20,6 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.pwc import PageWalkCache
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.obs.profile import PROFILER, profiling
-from repro.obs.trace import capture, tracepoint
 from repro.pagetable.pte import pte_frame
 from repro.pagetable.radix import PageTable
 from repro.pagetable.walker import PageWalker
@@ -174,11 +173,6 @@ class TestWalkConsistency:
             assert walker.walk(vpn).frame == table.translate(vpn)
 
 
-_walk_enter = tracepoint("walk.enter")
-_walk_step = tracepoint("walk.step")
-_walk_exit = tracepoint("walk.exit")
-
-
 class RefNestedWalker:
     """The 2D walk as composed before the fused walker: the guest path
     from ``walk_path_and_pte``; each guest node frame host-translated by a
@@ -230,8 +224,6 @@ class RefNestedWalker:
             hit_level = self.guest_pwc.lookup(gvpn)
             if hit_level is not None:
                 start = min(self.guest_pt.levels - hit_level, len(path))
-        if _walk_enter.enabled:
-            _walk_enter.emit(vpn=gvpn, start_depth=start)
         cycles = host_cycles = guest_accesses = host_accesses = 0
         for level, node_frame, index in path[start:]:
             self.host_walker.profile_context = ("walk", "hpt", f"gl{level}")
@@ -247,13 +239,6 @@ class RefNestedWalker:
                 PROFILER.add(("walk", "gpt", f"gl{level}", outcome), latency)
             cycles += latency
             guest_accesses += 1
-            if _walk_step.enabled:
-                _walk_step.emit(
-                    vpn=gvpn,
-                    level=level,
-                    cycles=latency + walk_cycles,
-                    host_accesses=walk_accesses,
-                )
             if self.guest_pwc is not None:
                 self.guest_pwc.fill(gvpn, level)
         guest_frame = host_frame = None
@@ -266,15 +251,6 @@ class RefNestedWalker:
             cycles += walk_cycles
             host_cycles += walk_cycles
             host_accesses += walk_accesses
-        if _walk_exit.enabled:
-            _walk_exit.emit(
-                vpn=gvpn,
-                cycles=cycles,
-                host_cycles=host_cycles,
-                guest_accesses=guest_accesses,
-                host_accesses=host_accesses,
-                faulted=host_frame is None,
-            )
         return NestedWalkResult(
             host_frame=host_frame,
             guest_frame=guest_frame,
@@ -356,24 +332,47 @@ def build_twin(walker_cls, recipe):
         None if entries is None else PageWalkCache(entries) for _ in range(2)
     ]
     hierarchy = CacheHierarchy(MachineConfig())
+    accesses = record_accesses(hierarchy)
     walker = walker_cls(guest_pt, vm, host, hierarchy, *pwcs)
-    return walker, host, hierarchy, pwcs
+    return walker, host, hierarchy, pwcs, accesses
+
+
+def record_accesses(hierarchy):
+    """Log every ``hierarchy.access`` call, in order, as ``(address,
+    stream, latency)``.
+
+    Wraps the instance's ``access``, so the walker built after this
+    reads the wrapper: the fused walker on each walk, the composed one
+    when it builds its host :class:`PageWalker`.
+    """
+    log = []
+    access = hierarchy.access
+
+    def recorded(addr, stream="data"):
+        latency = access(addr, stream)
+        log.append((addr, stream, latency))
+        return latency
+
+    hierarchy.access = recorded
+    return log
 
 
 class TestNestedWalkAgainstReference:
     """The fused 2D walk must reproduce the composed walk it replaced:
-    results, cache traffic per stream, PWC and nested-TLB counts, EPT
-    faults, profiler attribution and tracepoint payloads."""
+    results, every cache access in order with its latency, cache traffic
+    per stream, PWC and nested-TLB counts, EPT faults and profiler
+    attribution."""
 
     @given(nested_stacks())
     @settings(max_examples=40, deadline=None)
     def test_fused_walk_matches_composed_walk(self, recipe):
         runs = []
         for walker_cls in (NestedWalker, RefNestedWalker):
-            walker, host, hierarchy, pwcs = build_twin(walker_cls, recipe)
-            with profiling() as profiler, capture() as sink:
+            walker, host, hierarchy, pwcs, accesses = build_twin(
+                walker_cls, recipe
+            )
+            with profiling() as profiler:
                 results = [walker.walk(page) for page in recipe["pages"]]
-            events = [(event.name, event.args) for event in sink.events()]
             runs.append(
                 {
                     "results": results,
@@ -385,12 +384,12 @@ class TestNestedWalkAgainstReference:
                     "ntlb": (walker.ntlb_hits, walker.ntlb_misses),
                     "host": host.stats,
                     "profile": profiler.to_folded(),
-                    "events": events,
+                    "accesses": accesses,
                 }
             )
         fused, reference = runs
         for mine, theirs in zip(fused["results"], reference["results"]):
             assert mine == theirs
-        for key in ("streams", "pwc", "ntlb", "host", "profile", "events"):
+        for key in ("accesses", "streams", "pwc", "ntlb", "host", "profile"):
             assert fused[key] == reference[key], key
-        assert fused["events"], "tracepoints were not captured"
+        assert fused["accesses"], "no cache access was recorded"

@@ -164,46 +164,30 @@ class TestRunnerCli:
         self, tmp_path, monkeypatch, capsys
     ):
         def one_cell_then_crash(cells, jobs, **options):
-            yield from run_cells(cells, jobs, spec=options["spec"])
+            yield from run_cells(cells, jobs, profile=options["profile"])
             raise ParallelExecutionError(
-                "worker process died while running table2[seed=1]"
+                "worker process died while running table1[seed=1]"
             )
 
         monkeypatch.setattr(runner, "run_cells", one_cell_then_crash)
-        trace = tmp_path / "t.jsonl"
         out = tmp_path / "r.json"
+        metrics = tmp_path / "m.json"
+        folded = tmp_path / "f.folded"
         assert (
             main(
                 [
-                    "--experiment", "table2",
-                    "--trace", str(trace),
+                    "--experiment", "table1",
                     "--json", str(out),
+                    "--metrics-out", str(metrics),
+                    "--flamegraph", str(folded),
                 ]
             )
             == 1
         )
         assert "error: worker process died" in capsys.readouterr().err
-        assert not trace.exists()
         assert not out.exists()
-
-    def test_trace_drops_are_reported(self, tmp_path, monkeypatch, capsys):
-        def dropping_cells(cells, jobs, **options):
-            for result in run_cells(cells, jobs, spec=options["spec"]):
-                result.capsule["dropped_events"] = 5
-                yield result
-
-        monkeypatch.setattr(runner, "run_cells", dropping_cells)
-        trace = tmp_path / "t.jsonl"
-        assert main(["--experiment", "table2", "--trace", str(trace)]) == 0
-        warnings = [
-            line
-            for line in capsys.readouterr().err.splitlines()
-            if line.startswith("warning:")
-        ]
-        assert warnings == [
-            "warning: --trace: 5 events dropped (each cell keeps its "
-            "last 1048576 events)"
-        ]
+        assert not metrics.exists()
+        assert not folded.exists()
 
 
 class TestRunnerFailFast:
@@ -211,7 +195,7 @@ class TestRunnerFailFast:
 
     @pytest.mark.parametrize(
         "option",
-        ["--metrics-out", "--json", "--trace", "--flamegraph"],
+        ["--metrics-out", "--json", "--flamegraph"],
     )
     def test_unwritable_metrics_out_rejected_upfront(self, option, capsys):
         assert (
@@ -240,22 +224,3 @@ class TestRunnerFailFast:
             == 2
         )
         assert "is a directory" in capsys.readouterr().err
-
-    def test_unknown_trace_category_rejected_upfront(self, tmp_path, capsys):
-        trace = tmp_path / "t.jsonl"
-        assert (
-            main(
-                [
-                    "--experiment", "table2",
-                    "--trace", str(trace),
-                    "--trace-categories", "sample,reservations",
-                ]
-            )
-            == 2
-        )
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "error: --trace-categories: unknown category 'reservations'\n"
-        )
-        assert "Table 2" not in captured.out
-        assert not trace.exists()

@@ -177,31 +177,6 @@ class TestSeededBugs:
         with pytest.raises(SanitizerViolation, match="free-of-pcp-cached"):
             kernel.buddy.free(frame)
 
-    def test_violation_emits_tracepoint(self):
-        from repro.obs.trace import TRACER
-
-        class ListSink:
-            def __init__(self):
-                self.events = []
-
-            def write(self, event):
-                self.events.append(event)
-
-        sink = ListSink()
-        TRACER.attach(sink)
-        TRACER.enable("sanitizer")
-        try:
-            kernel = make_kernel()
-            base = kernel.buddy.alloc(0, owner=1)
-            kernel.buddy.free(base)
-            with pytest.raises(SanitizerViolation):
-                kernel.buddy.free(base)
-        finally:
-            TRACER.reset()
-        assert any(
-            event.name == "sanitizer.violation" for event in sink.events
-        )
-
 
 # ---------------------------------------------------------------------- #
 # Direct hook-level transitions
